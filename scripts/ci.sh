@@ -18,10 +18,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 echo "== encoded differential sweep"
 # Byte-identity oracle for the lightweight column encodings: the sampled
-# 17-template differential sweep re-runs with encoded_execution off and
-# on, at intra-query parallelism 1 and 4, against storage rewritten by
-# EncodeStorage() — every combination must produce byte-identical CSVs
-# and an unchanged content hash (the test exits non-zero otherwise).
+# 17-template differential sweep re-runs at intra-query parallelism 1 and
+# 4 against storage rewritten by EncodeStorage(), with plain storage as
+# the reference — every run must produce byte-identical CSVs and an
+# unchanged content hash, touch fewer bytes than the plain runs, and the
+# fact tables must compress at least 1.5x (the test exits non-zero
+# otherwise).
 "$BUILD_DIR/tests/engine_differential_test" \
   --gtest_filter='EncodedDifferentialTest.*'
 
@@ -34,12 +36,12 @@ echo "== cost-based differential sweep"
 "$BUILD_DIR/tests/engine_differential_test" \
   --gtest_filter='CostBasedDifferentialTest.*'
 
-echo "== perf smoke"
-# One pass over the 99 templates at smoke scale; fails on a >30% drop in
-# aggregate scanned rows/sec against the checked-in baseline JSON.
-"$BUILD_DIR/bench/bench_query_throughput" -json \
-  "$BUILD_DIR/bench_query_throughput.json"
-scripts/check_perf.py "$BUILD_DIR/bench_query_throughput.json"
+echo "== benchmark self-test"
+# Builds the SF 0.1 benchmark (tpcbench/) against src/ and runs its helper
+# tests, so an engine API change that breaks the benchmark fails here.
+# Performance itself is measured by `tpcbench/run.py --workload ...`
+# (tpcbench/README.md), not gated in CI.
+python3 tpcbench/run.py --self-test
 
 echo "== service overload smoke"
 # Saturating closed loop through the admission-controlled query service:

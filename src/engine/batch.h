@@ -16,8 +16,12 @@ class EngineTable;
 class StorageColumn;
 struct RowSet;
 
-/// Rows per columnar batch. Matches the executor's morsel size so a zone-map
-/// entry maps 1:1 onto a scan morsel and pruning a block prunes a morsel.
+/// Rows per columnar batch: both the zone-map block size and the executor's
+/// morsel size, so a zone-map entry maps 1:1 onto a scan morsel and pruning
+/// a block prunes a morsel. Deliberately independent of the worker count:
+/// the partial-result structure (and therefore every merge order and every
+/// floating-point reassociation) is a function of the input alone, which
+/// makes query results byte-identical across parallelism levels.
 inline constexpr size_t kBatchRows = 1024;
 
 /// A selection vector: row indices into a table, ascending. The vectorized
@@ -84,7 +88,7 @@ void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
                      SelectionVector* sel);
 
 /// A scan kernel translated onto one column's *encoded* domain, computed
-/// once per scan (PlannerOptions::encoded_execution). The per-morsel apply
+/// once per scan by the vectorized executor. The per-morsel apply
 /// then compares pre-encoded literals — dictionary code ranges / per-code
 /// pass masks for strings, frame-of-reference-shifted bounds for packed
 /// ints — and skips whole RLE runs, without decoding non-matching rows.

@@ -148,9 +148,9 @@ class Database {
                             ExecStats* stats = nullptr,
                             QueryGovernor* governor = nullptr);
 
-  /// Executes the statement and returns its plan trace (one line per
-  /// scan / semi-join reduction / join / aggregation) plus row counters —
-  /// an EXPLAIN ANALYZE equivalent.
+  /// Executes the statement and renders its physical operator tree with
+  /// per-operator rows, self time and counters (ExecStats::operators),
+  /// plus the statement's totals — an EXPLAIN ANALYZE equivalent.
   Result<std::string> Explain(const std::string& sql);
 
   PlannerOptions& default_options() { return default_options_; }

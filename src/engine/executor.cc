@@ -12,25 +12,20 @@
 #include <utility>
 
 #include "engine/agg_parallel.h"
+#include "engine/batch.h"
 #include "engine/data_facade.h"
 #include "engine/expr_eval.h"
 #include "engine/governor.h"
 #include "engine/table.h"
 #include "util/fault.h"
-#include "util/string_util.h"
 #include "util/threadpool.h"
 
 namespace tpcds {
 namespace {
 
-/// Fixed morsel size. Deliberately independent of the worker count: the
-/// partial-result structure (and therefore every merge order and every
-/// floating-point reassociation) is a function of the input alone, which
-/// makes query results byte-identical across parallelism levels.
-constexpr size_t kMorselRows = 1024;
-
-/// Hash-join build partitions. Like the morsel size, a constant — the
-/// per-key match lists come out identical for any worker count.
+/// Hash-join build partitions. Like the morsel size (kBatchRows), a
+/// constant — the per-key match lists come out identical for any worker
+/// count.
 constexpr size_t kJoinPartitions = 16;
 
 double NowSeconds() {
@@ -318,7 +313,7 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   static size_t MorselCount(size_t n) {
-    return (n + kMorselRows - 1) / kMorselRows;
+    return (n + kBatchRows - 1) / kBatchRows;
   }
 
   /// Runs fn(i) for every i in [0, count). With a pool, work units are
@@ -352,7 +347,7 @@ class PlanExecutor : public SubqueryEvaluator {
     pool_->WaitIdle();
   }
 
-  /// Runs fn(begin, end, morsel_index) over [0, n) in fixed-size morsels.
+  /// Runs fn(begin, end, morsel_index) over [0, n) in kBatchRows morsels.
   /// Each morsel passes the governor's boundary check (cancellation token,
   /// deadline, "morsel" fault site) before it runs — the unit of
   /// responsiveness the limits are specified in.
@@ -362,8 +357,8 @@ class PlanExecutor : public SubqueryEvaluator {
     bool checked = track_;
     ParallelFor(MorselCount(n), [&fn, gov, checked, n](size_t m) {
       if (checked && !gov->BeginMorsel()) return;
-      size_t b = m * kMorselRows;
-      fn(b, std::min(n, b + kMorselRows), m);
+      size_t b = m * kBatchRows;
+      fn(b, std::min(n, b + kBatchRows), m);
     });
   }
 
@@ -415,10 +410,6 @@ class PlanExecutor : public SubqueryEvaluator {
     return true;
   }
 
-  void Trace(std::string line) {
-    if (stats_ != nullptr) stats_->plan.push_back(std::move(line));
-  }
-
   // ---- leaf operators -------------------------------------------------
 
   /// A join-key filter a hash/semi join registered on its probe-side scan:
@@ -434,10 +425,10 @@ class PlanExecutor : public SubqueryEvaluator {
     bool has_range = false;     // int-backed: min/max over the build keys
     int64_t lo = 0;
     int64_t hi = 0;
-    /// Dictionary-encoded string column + encoded_execution: Bloom
-    /// membership evaluated once per dictionary entry, so probe rows test
-    /// one mask byte by code instead of hashing their string. Points into
-    /// the owning scan's per-query mask storage.
+    /// Dictionary-encoded string column: Bloom membership evaluated once
+    /// per dictionary entry, so probe rows test one mask byte by code
+    /// instead of hashing their string. Points into the owning scan's
+    /// per-query mask storage.
     const std::vector<uint8_t>* dict_mask = nullptr;
   };
 
@@ -491,11 +482,6 @@ class PlanExecutor : public SubqueryEvaluator {
       ChargeRows(buf);
     });
     ConcatMorsels(&bufs, &rs->rows);
-    Trace(StringPrintf(
-        "scan %s%s%s: %zu cols, %zu pushed filters, %lld -> %zu rows",
-        table->name().c_str(), node.alias.empty() ? "" : " as ",
-        node.alias.c_str(), node.scan_cols.size(), filters.size(),
-        static_cast<long long>(n), rs->rows.size()));
     return rs;
   }
 
@@ -561,37 +547,34 @@ class PlanExecutor : public SubqueryEvaluator {
     // each column's encoded domain, and string pushdown Blooms evaluated
     // per dictionary entry instead of per row.
     std::vector<PreparedScanKernel> prepared;
+    prepared.reserve(node.kernels.size());
+    for (const ScanKernel& k : node.kernels) {
+      prepared.push_back(
+          PrepareScanKernel(k, table->column(static_cast<size_t>(k.col))));
+    }
     std::vector<ScanPushdown> local_pds;
     std::vector<std::vector<uint8_t>> pd_masks;
-    if (options_.encoded_execution) {
-      prepared.reserve(node.kernels.size());
-      for (const ScanKernel& k : node.kernels) {
-        prepared.push_back(
-            PrepareScanKernel(k, table->column(static_cast<size_t>(k.col))));
-      }
-      if (pushdowns != nullptr) {
-        local_pds = *pushdowns;
-        pd_masks.resize(local_pds.size());
-        for (size_t i = 0; i < local_pds.size(); ++i) {
-          ScanPushdown& pd = local_pds[i];
-          const StorageColumn& c =
-              table->column(static_cast<size_t>(pd.col));
-          if (!pd.is_string || pd.bloom == nullptr ||
-              c.encoding() != ColEncoding::kDict) {
-            continue;
-          }
-          pd_masks[i].resize(c.DictNdv());
-          for (uint32_t code = 0; code < c.DictNdv(); ++code) {
-            pd_masks[i][code] =
-                pd.bloom->MayContain(std::hash<std::string_view>()(
-                    c.DictEntry(code)))
-                    ? 1
-                    : 0;
-          }
-          pd.dict_mask = &pd_masks[i];
+    if (pushdowns != nullptr) {
+      local_pds = *pushdowns;
+      pd_masks.resize(local_pds.size());
+      for (size_t i = 0; i < local_pds.size(); ++i) {
+        ScanPushdown& pd = local_pds[i];
+        const StorageColumn& c = table->column(static_cast<size_t>(pd.col));
+        if (!pd.is_string || pd.bloom == nullptr ||
+            c.encoding() != ColEncoding::kDict) {
+          continue;
         }
-        pushdowns = &local_pds;
+        pd_masks[i].resize(c.DictNdv());
+        for (uint32_t code = 0; code < c.DictNdv(); ++code) {
+          pd_masks[i][code] =
+              pd.bloom->MayContain(
+                  std::hash<std::string_view>()(c.DictEntry(code)))
+                  ? 1
+                  : 0;
+        }
+        pd.dict_mask = &pd_masks[i];
       }
+      pushdowns = &local_pds;
     }
 
     // Morsel-granular payload accounting: the storage columns this scan
@@ -641,15 +624,10 @@ class PlanExecutor : public SubqueryEvaluator {
       SelectionVector sel;
       sel.reserve(e - b);
       for (size_t r = b; r < e; ++r) sel.push_back(static_cast<uint32_t>(r));
-      for (size_t ki = 0; ki < node.kernels.size(); ++ki) {
+      for (const PreparedScanKernel& pk : prepared) {
         if (sel.empty()) break;
-        const ScanKernel& k = node.kernels[ki];
-        const StorageColumn& col = table->column(static_cast<size_t>(k.col));
-        if (!prepared.empty()) {
-          ApplyPreparedScanKernel(prepared[ki], col, &sel);
-        } else {
-          ApplyScanKernel(k, col, &sel);
-        }
+        ApplyPreparedScanKernel(
+            pk, table->column(static_cast<size_t>(pk.kernel->col)), &sel);
       }
       if (pushdowns != nullptr && !sel.empty()) {
         int64_t removed = ApplyPushdowns(*table, *pushdowns, &sel);
@@ -681,16 +659,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->bloom_rejects += rejects.load();
       stats_->bytes_touched += bytes.load();
     }
-    Trace(StringPrintf(
-        "scan %s%s%s: %zu cols, %zu pushed filters (vectorized: %zu "
-        "kernels, %zu residual, %lld morsels pruned, %lld bloom rejects), "
-        "%lld -> %zu rows",
-        table->name().c_str(), node.alias.empty() ? "" : " as ",
-        node.alias.c_str(), node.scan_cols.size(), node.predicates.size(),
-        node.kernels.size(), node.residual_predicates.size(),
-        static_cast<long long>(pruned.load()),
-        static_cast<long long>(rejects.load()), static_cast<long long>(n),
-        rs->rows.size()));
     return rs;
   }
 
@@ -991,10 +959,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->star_filtered_rows +=
           static_cast<int64_t>(before - fact->rows.size());
     }
-    Trace(StringPrintf(
-        "star semi-join on %s (%zu dim keys): %zu -> %zu fact rows",
-        ExprToString(*node.fact_key).c_str(), keys.size(), before,
-        fact->rows.size()));
     return fact;
   }
 
@@ -1274,18 +1238,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->rows_joined += static_cast<int64_t>(out->rows.size());
       stats_->bloom_rejects += rejects.load();
     }
-    Trace(StringPrintf(
-        "%s%s: %zu equi keys, %zu residual, %zu x %zu -> %zu rows"
-        "%s",
-        node.equi.empty() ? "nested-loop join" : "hash join",
-        node.left_outer ? " (left outer)" : "", node.equi.size(),
-        node.residual.size(), left->rows.size(), right->rows.size(),
-        out->rows.size(),
-        rejects.load() > 0
-            ? StringPrintf(" (%lld bloom rejects)",
-                           static_cast<long long>(rejects.load()))
-                  .c_str()
-            : ""));
     return out;
   }
 
@@ -1332,11 +1284,6 @@ class PlanExecutor : public SubqueryEvaluator {
     if (stats_ != nullptr) {
       stats_->rows_joined += static_cast<int64_t>(out->rows.size());
     }
-    Trace(StringPrintf(
-        "index join %s on %s: %zu probes -> %zu rows (no scan)",
-        table->name().c_str(),
-        table->column_meta(static_cast<size_t>(node.index_col)).name.c_str(),
-        left->rows.size(), out->rows.size()));
     return out;
   }
 
@@ -1579,10 +1526,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->topk_seen += static_cast<int64_t>(n);
       stats_->topk_kept += static_cast<int64_t>(rs->rows.size());
     }
-    Trace(StringPrintf("top-k (%zu keys, limit %lld): kept %zu of %zu rows",
-                       node.sort_keys.size(),
-                       static_cast<long long>(node.limit), rs->rows.size(),
-                       n));
     return rs;
   }
 
@@ -1945,10 +1888,6 @@ class PlanExecutor : public SubqueryEvaluator {
         }
       }
     });
-    Trace(StringPrintf(
-        "aggregate%s: %zu keys, %zu aggregates, %zu -> %zu groups",
-        node.rollup ? " (rollup)" : "", node.group_by.size(),
-        node.aggs.size(), input->rows.size(), out->rows.size()));
     return out;
   }
 

@@ -21,8 +21,8 @@ class DataFacade;
 /// partial aggregation with deterministic merge. Morsels have a fixed row
 /// count independent of the worker count and partial results are always
 /// combined in morsel order, so results are byte-identical across
-/// parallelism levels. Fills `stats` (row counters, legacy plan trace,
-/// per-operator timings) when non-null.
+/// parallelism levels. Fills `stats` (row counters and per-operator
+/// timings) when non-null.
 ///
 /// Governance: the executor enforces the options' GovernorLimits (deadline,
 /// memory budget, row budget) at morsel boundaries. Callers that need to

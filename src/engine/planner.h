@@ -72,15 +72,6 @@ struct PlannerOptions {
   /// name-resolved operators, and pushdown never changes what the exact
   /// join checks admit.
   bool cost_based = true;
-
-  /// Evaluate scan predicates directly on encoded columns (docs/STORAGE.md):
-  /// string compares become dictionary-code ranges or per-code masks,
-  /// frame-of-reference columns compare pre-shifted bounds against the
-  /// packed bits, and whole RLE runs that cannot match are skipped without
-  /// per-row work. Off = encoded columns decode row-at-a-time through the
-  /// generic accessors. Results are byte-identical either way, and
-  /// identical to running on un-encoded storage.
-  bool encoded_execution = true;
 };
 
 /// Statistics of one statement execution, for benchmarking and EXPLAIN.
@@ -95,9 +86,6 @@ struct ExecStats {
   int64_t bytes_touched = 0;       // storage payload bytes read by scans
                                    // (morsel-granular; pruned morsels and
                                    // encoded savings excluded)
-  /// Human-readable plan trace: one line per scan / semi-join reduction /
-  /// join / aggregation, in execution order.
-  std::vector<std::string> plan;
 
   /// One entry per physical-plan operator, pre-order with `depth` giving
   /// the tree indentation. `executed` is false for operators skipped at

@@ -707,26 +707,4 @@ std::unique_ptr<EngineTable> EngineTable::Clone() const {
   return copy;
 }
 
-Status EngineTable::RestoreFrom(const EngineTable& snapshot) {
-  if (snapshot.meta_.size() != meta_.size()) {
-    return Status::InvalidArgument(
-        "snapshot schema does not match table " + name_ + ": " +
-        std::to_string(snapshot.meta_.size()) + " columns vs " +
-        std::to_string(meta_.size()));
-  }
-  for (size_t i = 0; i < meta_.size(); ++i) {
-    if (snapshot.meta_[i].name != meta_[i].name ||
-        snapshot.meta_[i].type != meta_[i].type) {
-      return Status::InvalidArgument(
-          "snapshot schema does not match table " + name_ + ": column " +
-          std::to_string(i) + " is " + snapshot.meta_[i].name + ", want " +
-          meta_[i].name);
-    }
-  }
-  columns_ = snapshot.columns_;
-  num_rows_ = snapshot.num_rows_;
-  InvalidateIndexes();
-  return Status::OK();
-}
-
 }  // namespace tpcds

@@ -398,16 +398,11 @@ class EngineTable {
     return retired_.size();
   }
 
-  /// Deep copy of the table's storage for maintenance snapshot/rollback
-  /// and copy-on-write generation builds. Mapped columns copy their view
-  /// (still zero-copy; they materialise only if the clone is mutated).
-  /// Indexes are not copied — they rebuild lazily on first use.
+  /// Deep copy of the table's storage for copy-on-write generation builds
+  /// (Database::ForkForMaintenance). Mapped columns copy their view (still
+  /// zero-copy; they materialise only if the clone is mutated). Indexes
+  /// are not copied — they rebuild lazily on first use.
   std::unique_ptr<EngineTable> Clone() const;
-
-  /// Replaces this table's rows with `snapshot`'s and invalidates indexes;
-  /// the schemas must match column-for-column (count, names and types).
-  /// Restoring from a Clone() taken earlier rolls the table back.
-  Status RestoreFrom(const EngineTable& snapshot);
 
  private:
   /// One generation of lazily built derived state. Lives behind a

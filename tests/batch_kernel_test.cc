@@ -516,5 +516,50 @@ TEST(VectorizedScanTest, ZoneMapsPruneAndStayCorrectAfterMutation) {
   EXPECT_EQ(r->rows[0][0].AsInt(), 97);
 }
 
+TEST(VectorizedScanTest, MorselsPruneByTheirOwnZoneMapBlock) {
+  // The scan prunes morsel m with zone-map block m, which is only sound
+  // while both are kBatchRows long. k ascends, so every block holds its
+  // own key range; the last block is partial.
+  Database db;
+  ASSERT_TRUE(
+      db.CreateTable("t", {{"k", ColumnType::kIdentifier}}).ok());
+  EngineTable* t = db.FindTable("t");
+  const int64_t rows = 5 * static_cast<int64_t>(kBatchRows) + 300;
+  for (int64_t i = 0; i < rows; ++i) {
+    ASSERT_TRUE(t->AppendRowStrings({std::to_string(i)}).ok());
+  }
+  const int64_t b = static_cast<int64_t>(kBatchRows);
+  struct Case {
+    std::string sql;
+    int64_t count;
+    int64_t pruned;
+  };
+  const Case cases[] = {
+      {StringPrintf("SELECT COUNT(*) FROM t WHERE k BETWEEN %lld AND %lld",
+                    static_cast<long long>(2 * b),
+                    static_cast<long long>(3 * b - 1)),
+       b, 5},
+      {StringPrintf("SELECT COUNT(*) FROM t WHERE k >= %lld",
+                    static_cast<long long>(5 * b)),
+       300, 5},
+      {StringPrintf("SELECT COUNT(*) FROM t WHERE k BETWEEN %lld AND %lld",
+                    static_cast<long long>(b - 1), static_cast<long long>(b)),
+       2, 4},
+  };
+  for (const Case& c : cases) {
+    for (int workers : {1, 4}) {
+      PlannerOptions options = db.default_options();
+      options.parallelism = workers;
+      ExecStats stats;
+      Result<QueryResult> r = db.Query(c.sql, options, &stats);
+      ASSERT_TRUE(r.ok()) << c.sql << "\n" << r.status().ToString();
+      EXPECT_EQ(r->rows[0][0].AsInt(), c.count)
+          << c.sql << " at parallelism " << workers;
+      EXPECT_EQ(stats.morsels_pruned, c.pruned)
+          << c.sql << " at parallelism " << workers;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tpcds

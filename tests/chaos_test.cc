@@ -16,6 +16,7 @@
 #include "driver/drill.h"
 #include "driver/profile.h"
 #include "qgen/qgen.h"
+#include "temp_path.h"
 #include "templates/templates.h"
 #include "util/fault.h"
 #include "util/random.h"
@@ -258,7 +259,7 @@ TEST_F(ChaosScheduleTest, WindowFiresDeterministicallyOnceStarted) {
 // --- the duty-cycle crash drill ------------------------------------------
 
 std::string DrillScratch(const std::string& leaf) {
-  std::string path = ::testing::TempDir() + "chaos_test_" + leaf;
+  std::string path = ProcessTempPath("chaos_test_" + leaf);
   fs::remove_all(path);
   fs::create_directories(path);
   return path;

@@ -18,6 +18,7 @@
 #include "engine/batch.h"
 #include "engine/database.h"
 #include "engine/table.h"
+#include "temp_path.h"
 #include "util/string_util.h"
 
 namespace tpcds {
@@ -396,7 +397,7 @@ TEST(EncodingTest, SetOnOwnedEncodedDictColumnDecodesFirst) {
 /// (representation-independent) content hash against a heap-plain table
 /// that saw the same mutations.
 TEST(EncodingTest, MutatingMappedEncodedColumnDecodesBeforeCow) {
-  const std::string dir = ::testing::TempDir() + "enc_mut_ckpt";
+  const std::string dir = ProcessTempPath("enc_mut_ckpt");
   std::filesystem::remove_all(dir);
 
   auto build = [](Database* db) {
@@ -453,7 +454,7 @@ TEST(EncodingTest, MutatingMappedEncodedColumnDecodesBeforeCow) {
 class EncodedCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "enc_ckpt";
+    dir_ = ProcessTempPath("enc_ckpt");
     std::filesystem::remove_all(dir_);
     BuildSource();
   }

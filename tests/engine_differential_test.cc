@@ -16,6 +16,7 @@
 #include "engine/database.h"
 #include "maintenance/maintenance.h"
 #include "qgen/qgen.h"
+#include "temp_path.h"
 #include "templates/templates.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -302,7 +303,7 @@ class MmapDifferentialTest : public ::testing::Test {
     GeneratorOptions options;
     options.scale_factor = 0.002;
     ASSERT_TRUE(heap_->LoadTpcdsData(options).ok());
-    ckpt_dir_ = ::testing::TempDir() + "mmap_differential_ckpt";
+    ckpt_dir_ = ProcessTempPath("mmap_differential_ckpt");
     std::filesystem::remove_all(ckpt_dir_);
     Status saved = heap_->SaveCheckpoint(ckpt_dir_);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
@@ -362,9 +363,11 @@ TEST_F(MmapDifferentialTest, SampledTemplatesAgreeAcrossBackings) {
 
 /// Encoded-vs-plain differential: the 17-template sample answered on plain
 /// storage is the reference; after EncodeStorage() installs dictionary /
-/// RLE / frame-of-reference encodings, every combination of
-/// encoded_execution x parallelism must reproduce the reference bytes.
-/// This is the correctness oracle for the encoded scan kernels.
+/// RLE / frame-of-reference encodings, runs at every parallelism must
+/// reproduce the reference bytes. This is the correctness oracle for the
+/// encoded scan kernels. The encodings must also pay for themselves: the
+/// encoded runs touch fewer payload bytes than the plain ones, and the
+/// fact tables compress at least 1.5x.
 class EncodedDifferentialTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -391,16 +394,20 @@ TEST_F(EncodedDifferentialTest, SampledTemplatesAgreeAcrossEncodings) {
   QueryGenerator qgen(19620718);
   std::vector<std::string> sqls;
   std::vector<std::string> expected;
+  int64_t plain_bytes = 0;
   for (int id : kSample) {
     const QueryTemplate* tmpl = FindTemplate(id);
     ASSERT_NE(tmpl, nullptr) << "template " << id;
     Result<std::string> sql = qgen.Instantiate(*tmpl, 0);
     ASSERT_TRUE(sql.ok()) << "template " << id;
-    Result<QueryResult> reference = db_->Query(*sql);
+    ExecStats stats;
+    Result<QueryResult> reference =
+        db_->Query(*sql, db_->default_options(), &stats);
     ASSERT_TRUE(reference.ok())
         << "template " << id << ": " << reference.status().ToString();
     sqls.push_back(*sql);
     expected.push_back(reference->ToCsv());
+    plain_bytes += stats.bytes_touched;
   }
 
   // Encoding is a logical no-op: the content hash (representation
@@ -410,21 +417,34 @@ TEST_F(EncodedDifferentialTest, SampledTemplatesAgreeAcrossEncodings) {
   EXPECT_GT(encoded, 0u) << "no column qualified for any encoding";
   EXPECT_EQ(HashFacadeContent(*db_->Snapshot()), hash_before);
 
+  uint64_t fact_plain = 0;
+  uint64_t fact_encoded = 0;
+  for (const char* fact :
+       {"store_sales", "catalog_sales", "web_sales", "inventory"}) {
+    Database::CompressionStats cs = db_->TableCompression(fact);
+    fact_plain += cs.plain_bytes;
+    fact_encoded += cs.encoded_bytes;
+  }
+  EXPECT_GE(static_cast<double>(fact_plain),
+            1.5 * static_cast<double>(fact_encoded))
+      << "fact tables: " << fact_plain << " plain vs " << fact_encoded
+      << " encoded payload bytes";
+
+  int64_t encoded_bytes = 0;
   for (size_t i = 0; i < sqls.size(); ++i) {
     for (int workers : {1, 4}) {
-      for (bool enc : {false, true}) {
-        PlannerOptions options = db_->default_options();
-        options.parallelism = workers;
-        options.encoded_execution = enc;
-        Result<QueryResult> run = db_->Query(sqls[i], options, nullptr);
-        ASSERT_TRUE(run.ok()) << "template " << kSample[i] << ": "
-                              << run.status().ToString();
-        EXPECT_EQ(run->ToCsv(), expected[i])
-            << "template " << kSample[i] << " at parallelism " << workers
-            << (enc ? ", encoded kernels" : ", accessor decode");
-      }
+      PlannerOptions options = db_->default_options();
+      options.parallelism = workers;
+      ExecStats stats;
+      Result<QueryResult> run = db_->Query(sqls[i], options, &stats);
+      ASSERT_TRUE(run.ok()) << "template " << kSample[i] << ": "
+                            << run.status().ToString();
+      EXPECT_EQ(run->ToCsv(), expected[i])
+          << "template " << kSample[i] << " at parallelism " << workers;
+      if (workers == 1) encoded_bytes += stats.bytes_touched;
     }
   }
+  EXPECT_LT(encoded_bytes, plain_bytes);
 }
 
 /// Cost-based-vs-structural differential: the 17-template sample answered

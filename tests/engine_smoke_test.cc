@@ -157,11 +157,14 @@ TEST_F(EngineSmokeTest, AllThreeJoinPathsAgree) {
   // must still be scanned.)
   bool saw_index_join = false;
   bool saw_item_scan = false;
-  for (const std::string& line : index_stats.plan) {
-    if (line.find("index join item") != std::string::npos) {
+  for (const ExecStats::OpStat& op : index_stats.operators) {
+    if (op.executed &&
+        op.label.find("index join item") != std::string::npos) {
       saw_index_join = true;
     }
-    if (line.find("scan item") != std::string::npos) saw_item_scan = true;
+    if (op.label.find("scan item") != std::string::npos) {
+      saw_item_scan = true;
+    }
   }
   EXPECT_TRUE(saw_index_join) << "plan did not use the index path";
   EXPECT_FALSE(saw_item_scan);

@@ -17,6 +17,7 @@
 #include "engine/database.h"
 #include "engine/governor.h"
 #include "maintenance/maintenance.h"
+#include "temp_path.h"
 #include "util/fault.h"
 
 namespace tpcds {
@@ -352,7 +353,7 @@ TEST_F(GovernanceTest, FaultSweepOverEverySiteCompletesBenchmark) {
   // durability mode, so those sweeps enable it; the io-* sites belong to
   // the flat-file writer, which the benchmark never touches — they are
   // exercised by the flat-file regression tests in recovery_test.
-  const std::string tmp = ::testing::TempDir() + "gov_fault_sweep";
+  const std::string tmp = ProcessTempPath("gov_fault_sweep");
   for (const std::string& site : FaultInjector::Sites()) {
     if (site == "io-write" || site == "io-close") continue;
     const bool durable_site =

@@ -4,7 +4,6 @@
 // committed prefix, byte-identical (content hash) to the live database.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -17,6 +16,7 @@
 #include "engine/recovery.h"
 #include "maintenance/maintenance.h"
 #include "schema/schema.h"
+#include "temp_path.h"
 #include "util/fault.h"
 #include "util/flatfile.h"
 #include "util/wal.h"
@@ -39,11 +39,7 @@ class RecoveryTest : public ::testing::Test {
     options.scale_factor = kSf;
     Status st = db_->LoadTpcdsData(options);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    // Unique per process: ctest runs each test case as its own process,
-    // and two concurrent cases recreating one shared directory race
-    // remove_all against SaveCheckpoint/LoadCheckpoint.
-    ckpt_dir_ = ::testing::TempDir() + "recovery_test_ckpt_" +
-                std::to_string(::getpid());
+    ckpt_dir_ = ProcessTempPath("recovery_test_ckpt");
     fs::remove_all(ckpt_dir_);
     st = db_->SaveCheckpoint(ckpt_dir_);
     ASSERT_TRUE(st.ok()) << st.ToString();
@@ -59,7 +55,7 @@ class RecoveryTest : public ::testing::Test {
 
   /// A per-test scratch path under the test tempdir, removed up front.
   static std::string Scratch(const std::string& leaf) {
-    std::string path = ::testing::TempDir() + "recovery_test_" + leaf;
+    std::string path = ProcessTempPath("recovery_test_" + leaf);
     fs::remove_all(path);
     return path;
   }
@@ -152,7 +148,7 @@ TEST_F(RecoveryTest, CheckpointWriteFaultsLeaveNoManifest) {
 }
 
 TEST(WalTest, RoundTripPreservesRecordsAndLsns) {
-  std::string path = ::testing::TempDir() + "wal_roundtrip.wal";
+  std::string path = ProcessTempPath("wal_roundtrip.wal");
   std::remove(path.c_str());
   {
     WalWriter wal;
@@ -175,7 +171,7 @@ TEST(WalTest, RoundTripPreservesRecordsAndLsns) {
 }
 
 TEST(WalTest, TornTailIsTruncatedNotFatal) {
-  std::string path = ::testing::TempDir() + "wal_torn.wal";
+  std::string path = ProcessTempPath("wal_torn.wal");
   std::remove(path.c_str());
   {
     WalWriter wal;
@@ -197,7 +193,7 @@ TEST(WalTest, TornTailIsTruncatedNotFatal) {
 }
 
 TEST(WalTest, MidFileCorruptionIsDataLoss) {
-  std::string path = ::testing::TempDir() + "wal_corrupt.wal";
+  std::string path = ProcessTempPath("wal_corrupt.wal");
   std::remove(path.c_str());
   {
     WalWriter wal;
@@ -366,25 +362,8 @@ TEST_F(RecoveryTest, OperationsFilterRunsOnlyNamedOps) {
   EXPECT_EQ(report.operations[1].operation, "inplace_update:customer");
 }
 
-TEST(RestoreFromTest, SchemaMismatchIsRejected) {
-  EngineTable a("t", {{"k", ColumnType::kIdentifier},
-                      {"v", ColumnType::kVarchar}});
-  EngineTable renamed("t", {{"k", ColumnType::kIdentifier},
-                            {"w", ColumnType::kVarchar}});
-  EngineTable retyped("t", {{"k", ColumnType::kIdentifier},
-                            {"v", ColumnType::kInteger}});
-  EXPECT_FALSE(a.RestoreFrom(renamed).ok());
-  EXPECT_FALSE(a.RestoreFrom(retyped).ok());
-
-  ASSERT_TRUE(a.AppendRowStrings({"1", "x"}).ok());
-  std::unique_ptr<EngineTable> snapshot = a.Clone();
-  ASSERT_TRUE(a.AppendRowStrings({"2", "y"}).ok());
-  ASSERT_TRUE(a.RestoreFrom(*snapshot).ok());
-  EXPECT_EQ(a.num_rows(), 1);
-}
-
 TEST(FlatFileFaultTest, WriteFaultSurfacesAndLatches) {
-  std::string path = ::testing::TempDir() + "flatfile_fault.dat";
+  std::string path = ProcessTempPath("flatfile_fault.dat");
   std::remove(path.c_str());
   FlatFileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
@@ -401,7 +380,7 @@ TEST(FlatFileFaultTest, WriteFaultSurfacesAndLatches) {
 }
 
 TEST(FlatFileFaultTest, CloseFaultSurfaces) {
-  std::string path = ::testing::TempDir() + "flatfile_close_fault.dat";
+  std::string path = ProcessTempPath("flatfile_close_fault.dat");
   std::remove(path.c_str());
   FlatFileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());

@@ -15,6 +15,7 @@
 #include "engine/stats.h"
 #include "engine/table.h"
 #include "maintenance/maintenance.h"
+#include "temp_path.h"
 #include "util/bytes.h"
 #include "util/random.h"
 
@@ -181,7 +182,7 @@ TEST(StatsTest, CheckpointRoundTripWarmsLoadAndAttach) {
       db.FindTable("item")->ComputedStats();
   ASSERT_NE(item_stats, nullptr);
 
-  const std::string dir = ::testing::TempDir() + "stats_ckpt";
+  const std::string dir = ProcessTempPath("stats_ckpt");
   std::filesystem::remove_all(dir);
   Status saved = db.SaveCheckpoint(dir);
   ASSERT_TRUE(saved.ok()) << saved.ToString();

@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <numeric>
 #include <set>
 
+#include "temp_path.h"
 #include "util/date.h"
 #include "util/decimal.h"
 #include "util/flatfile.h"
@@ -269,9 +269,7 @@ TEST(StringUtilTest, SplitJoinTrimCase) {
 // --------------------------------------------------------------- flatfile
 
 TEST(FlatFileTest, WriteReadRoundTrip) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "tpcds_ff_test.dat")
-          .string();
+  std::string path = ProcessTempPath("tpcds_ff_test.dat");
   {
     FlatFileWriter writer;
     ASSERT_TRUE(writer.Open(path).ok());
