@@ -16,17 +16,6 @@ cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
-echo "== encoded differential sweep"
-# Byte-identity oracle for the lightweight column encodings: the sampled
-# 17-template differential sweep re-runs at intra-query parallelism 1 and
-# 4 against storage rewritten by EncodeStorage(), with plain storage as
-# the reference — every run must produce byte-identical CSVs and an
-# unchanged content hash, touch fewer bytes than the plain runs, and the
-# fact tables must compress at least 1.5x (the test exits non-zero
-# otherwise).
-"$BUILD_DIR/tests/engine_differential_test" \
-  --gtest_filter='EncodedDifferentialTest.*'
-
 echo "== cost-based differential sweep"
 # Byte-identity oracle for the cost-based planner: the same 17-template
 # sample re-runs with cost_based off and on, at intra-query parallelism

@@ -102,14 +102,6 @@ uint64_t HashTableContent(const EngineTable& table) {
         uint64_t len = s.size();
         h = Fnv64(&len, sizeof(len), h);
       }
-    } else if (col.encoding() != ColEncoding::kPlain) {
-      // Encoded columns have no raw array; decode row-wise. Byte-identical
-      // to hashing the plain int64 vector, so the hash is independent of
-      // the column's physical representation.
-      for (size_t r = 0; r < col.size(); ++r) {
-        int64_t v = col.Num(r);
-        h = Fnv64(&v, sizeof(v), h);
-      }
     } else {
       h = Fnv64(col.nums().data(), col.nums().size() * sizeof(int64_t), h);
     }

@@ -464,11 +464,6 @@ void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
                      SelectionVector* sel) {
   SelectionVector& s = *sel;
   size_t w = 0;
-  // Encoded numeric columns expose no raw array; decode row-at-a-time
-  // through the accessor. (The string kinds below already go through
-  // Str(), which handles dictionary columns.) The encoded *fast* paths
-  // live in PrepareScanKernel / ApplyPreparedScanKernel.
-  const bool decode = column.encoding() != ColEncoding::kPlain;
   switch (kernel.kind) {
     case ScanKernel::Kind::kAlwaysFalse:
       s.clear();
@@ -476,15 +471,6 @@ void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
     case ScanKernel::Kind::kIntRange: {
       const uint8_t* nulls = column.nulls().data();
       const int64_t lo = kernel.lo, hi = kernel.hi;
-      if (decode) {
-        for (uint32_t r : s) {
-          if (nulls[r]) continue;
-          int64_t v = column.Num(r);
-          bool in = v >= lo && v <= hi;
-          if (in != kernel.negated) s[w++] = r;
-        }
-        break;
-      }
       const int64_t* nums = column.nums().data();
       if (!kernel.negated) {
         for (uint32_t r : s) {
@@ -498,13 +484,12 @@ void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
       break;
     }
     case ScanKernel::Kind::kIntIn: {
-      const int64_t* nums = decode ? nullptr : column.nums().data();
+      const int64_t* nums = column.nums().data();
       const uint8_t* nulls = column.nulls().data();
       for (uint32_t r : s) {
         if (nulls[r]) continue;
-        int64_t v = decode ? column.Num(r) : nums[r];
         bool in = std::binary_search(kernel.values.begin(),
-                                     kernel.values.end(), v);
+                                     kernel.values.end(), nums[r]);
         if (in != kernel.negated) s[w++] = r;
       }
       break;
@@ -563,199 +548,6 @@ void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
   s.resize(w);
 }
 
-namespace {
-
-// True when the non-null raw value `v` passes an int-backed kernel.
-// Used per RLE *run*, so each run value is tested exactly once.
-bool IntKernelPasses(const ScanKernel& k, int64_t v) {
-  bool in = k.kind == ScanKernel::Kind::kIntRange
-                ? v >= k.lo && v <= k.hi
-                : std::binary_search(k.values.begin(), k.values.end(), v);
-  return in != k.negated;
-}
-
-// True when the dictionary entry `text` passes a string kernel (kStrIn /
-// kStrLike), negation included. Evaluated once per dictionary code.
-bool StrKernelPasses(const ScanKernel& k, std::string_view text) {
-  bool match;
-  if (k.kind == ScanKernel::Kind::kStrIn) {
-    match = std::binary_search(k.strs.begin(), k.strs.end(), text);
-  } else {
-    match = text.size() >= k.like_prefix.size() &&
-            text.compare(0, k.like_prefix.size(), k.like_prefix) == 0;
-    if (match && !k.prefix_only) match = SqlLikeMatch(text, k.str);
-  }
-  return match != k.negated;
-}
-
-}  // namespace
-
-PreparedScanKernel PrepareScanKernel(const ScanKernel& kernel,
-                                     const StorageColumn& column) {
-  PreparedScanKernel p;
-  p.kernel = &kernel;
-  switch (column.encoding()) {
-    case ColEncoding::kPlain:
-      return p;
-    case ColEncoding::kDict: {
-      const uint32_t ndv = column.DictNdv();
-      if (kernel.kind == ScanKernel::Kind::kStrCompare) {
-        // The dictionary is sorted, so code order is string order and the
-        // comparison becomes an integer code range. Find the literal's
-        // insertion point with one binary search over the dictionary.
-        uint32_t lb = 0, hb = ndv;
-        while (lb < hb) {
-          uint32_t mid = lb + (hb - lb) / 2;
-          if (column.DictEntry(mid) < kernel.str) {
-            lb = mid + 1;
-          } else {
-            hb = mid;
-          }
-        }
-        const bool exact = lb < ndv && column.DictEntry(lb) == kernel.str;
-        p.mode = PreparedScanKernel::Mode::kCodeRange;
-        p.lo = 0;
-        p.hi = static_cast<int64_t>(ndv) - 1;
-        switch (kernel.cmp) {
-          case ScanKernel::Cmp::kEq:
-            p.lo = lb;
-            p.hi = exact ? lb : int64_t{lb} - 1;  // empty when absent
-            break;
-          case ScanKernel::Cmp::kNe:
-            if (exact) {
-              p.lo = p.hi = lb;
-              p.negated = true;
-            }  // absent literal: every non-null row differs
-            break;
-          case ScanKernel::Cmp::kLt:
-            p.hi = int64_t{lb} - 1;
-            break;
-          case ScanKernel::Cmp::kLe:
-            p.hi = exact ? lb : int64_t{lb} - 1;
-            break;
-          case ScanKernel::Cmp::kGt:
-            p.lo = exact ? int64_t{lb} + 1 : lb;
-            break;
-          case ScanKernel::Cmp::kGe:
-            p.lo = lb;
-            break;
-        }
-        return p;
-      }
-      if (kernel.kind == ScanKernel::Kind::kStrIn ||
-          kernel.kind == ScanKernel::Kind::kStrLike) {
-        // Evaluate the predicate once per dictionary entry; rows then test
-        // one mask byte instead of matching strings.
-        p.mode = PreparedScanKernel::Mode::kCodeMask;
-        p.mask.resize(ndv);
-        for (uint32_t c = 0; c < ndv; ++c) {
-          p.mask[c] = StrKernelPasses(kernel, column.DictEntry(c)) ? 1 : 0;
-        }
-        return p;
-      }
-      return p;
-    }
-    case ColEncoding::kRle:
-      if (kernel.kind == ScanKernel::Kind::kIntRange ||
-          kernel.kind == ScanKernel::Kind::kIntIn) {
-        p.mode = PreparedScanKernel::Mode::kRleRuns;
-      }
-      return p;
-    case ColEncoding::kFor: {
-      if (kernel.kind != ScanKernel::Kind::kIntRange) return p;
-      // Shift the bounds into the packed (frame-subtracted) domain, so the
-      // per-row compare works on the extracted bits without adding the
-      // base back. Saturation keeps negated-range semantics exact: packed
-      // values live in [0, maxp], so clamping lo into [0, maxp + 1] and hi
-      // into [-1, maxp] never moves a boundary across a representable
-      // value.
-      const uint32_t width = column.ForWidth();
-      const int64_t maxp =
-          width == 0 ? 0
-                     : static_cast<int64_t>((uint64_t{1} << width) - 1);
-      auto shift = [&](int64_t bound, int64_t min, int64_t max) {
-        __int128 s = static_cast<__int128>(bound) - column.ForBase();
-        if (s < min) return min;
-        if (s > max) return max;
-        return static_cast<int64_t>(s);
-      };
-      p.mode = PreparedScanKernel::Mode::kForRange;
-      p.negated = kernel.negated;
-      p.lo = shift(kernel.lo, 0, maxp + 1);
-      p.hi = shift(kernel.hi, -1, maxp);
-      return p;
-    }
-  }
-  return p;
-}
-
-void ApplyPreparedScanKernel(const PreparedScanKernel& prepared,
-                             const StorageColumn& column,
-                             SelectionVector* sel) {
-  SelectionVector& s = *sel;
-  size_t w = 0;
-  const uint8_t* nulls = column.nulls().data();
-  switch (prepared.mode) {
-    case PreparedScanKernel::Mode::kGeneric:
-      ApplyScanKernel(*prepared.kernel, column, sel);
-      return;
-    case PreparedScanKernel::Mode::kCodeRange: {
-      const uint32_t* codes = column.DictCodes();
-      const int64_t lo = prepared.lo, hi = prepared.hi;
-      for (uint32_t r : s) {
-        if (nulls[r]) continue;
-        const int64_t c = codes[r];
-        const bool in = c >= lo && c <= hi;
-        if (in != prepared.negated) s[w++] = r;
-      }
-      break;
-    }
-    case PreparedScanKernel::Mode::kCodeMask: {
-      const uint32_t* codes = column.DictCodes();
-      for (uint32_t r : s) {
-        if (!nulls[r] && prepared.mask[codes[r]]) s[w++] = r;
-      }
-      break;
-    }
-    case PreparedScanKernel::Mode::kRleRuns: {
-      // Two-pointer walk over the selection and the runs: each run value
-      // is tested once, and a failing run's remaining selected rows are
-      // skipped with one binary search instead of per-row compares.
-      const int64_t* values = column.RleValues();
-      const uint32_t* ends = column.RleEnds();
-      size_t run = 0;
-      size_t i = 0;
-      while (i < s.size()) {
-        const uint32_t r = s[i];
-        while (ends[run] <= r) ++run;
-        const uint32_t run_end = ends[run];
-        if (IntKernelPasses(*prepared.kernel, values[run])) {
-          for (; i < s.size() && s[i] < run_end; ++i) {
-            if (!nulls[s[i]]) s[w++] = s[i];
-          }
-        } else {
-          i = static_cast<size_t>(
-              std::lower_bound(s.begin() + static_cast<ptrdiff_t>(i),
-                               s.end(), run_end) -
-              s.begin());
-        }
-      }
-      break;
-    }
-    case PreparedScanKernel::Mode::kForRange: {
-      const int64_t lo = prepared.lo, hi = prepared.hi;
-      for (uint32_t r : s) {
-        if (nulls[r]) continue;
-        const int64_t p = static_cast<int64_t>(column.ForPacked(r));
-        const bool in = p >= lo && p <= hi;
-        if (in != prepared.negated) s[w++] = r;
-      }
-      break;
-    }
-  }
-  s.resize(w);
-}
-
 void GatherRows(const EngineTable& table, const std::vector<int>& cols,
                 const SelectionVector& sel,
                 std::vector<std::vector<Value>>* out) {
@@ -767,14 +559,6 @@ void GatherRows(const EngineTable& table, const std::vector<int>& cols,
   for (int col : cols) {
     const StorageColumn& c = table.column(static_cast<size_t>(col));
     const uint8_t* nulls = c.nulls().data();
-    if (c.encoding() != ColEncoding::kPlain) {
-      // Encoded columns have no raw typed array; decode only the selected
-      // rows through the accessor (Get() reproduces the typed Value kinds).
-      for (size_t i = 0; i < sel.size(); ++i) {
-        (*out)[base + i].push_back(c.Get(sel[i]));
-      }
-      continue;
-    }
     switch (c.type()) {
       case ColumnType::kIdentifier:
       case ColumnType::kInteger: {
@@ -822,8 +606,7 @@ void GatherRows(const EngineTable& table, const std::vector<int>& cols,
 ZoneMap BuildZoneMap(const StorageColumn& column, size_t num_rows) {
   ZoneMap zm;
   zm.blocks.resize((num_rows + kBatchRows - 1) / kBatchRows);
-  const bool decode = column.encoding() != ColEncoding::kPlain;
-  const int64_t* nums = decode ? nullptr : column.nums().data();
+  const int64_t* nums = column.nums().data();
   const uint8_t* nulls = column.nulls().data();
   for (size_t b = 0; b < zm.blocks.size(); ++b) {
     ZoneEntry& z = zm.blocks[b];
@@ -833,7 +616,7 @@ ZoneMap BuildZoneMap(const StorageColumn& column, size_t num_rows) {
         z.has_null = true;
         continue;
       }
-      const int64_t v = decode ? column.Num(r) : nums[r];
+      const int64_t v = nums[r];
       if (!z.has_nonnull) {
         z.min = z.max = v;
         z.has_nonnull = true;

@@ -80,43 +80,9 @@ bool CompileScanKernel(const Expr& pred, const RowSet& scope,
                        std::vector<ScanKernel>* out);
 
 /// Filters `sel` in place, keeping rows that pass the kernel. Reads the
-/// column's typed storage directly; never constructs a Value. Handles any
-/// column encoding (encoded columns decode row-at-a-time through the
-/// accessors); use PrepareScanKernel + ApplyPreparedScanKernel for the
-/// encoded fast paths.
+/// column's typed storage directly; never constructs a Value.
 void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
                      SelectionVector* sel);
-
-/// A scan kernel translated onto one column's *encoded* domain, computed
-/// once per scan by the vectorized executor. The per-morsel apply
-/// then compares pre-encoded literals — dictionary code ranges / per-code
-/// pass masks for strings, frame-of-reference-shifted bounds for packed
-/// ints — and skips whole RLE runs, without decoding non-matching rows.
-struct PreparedScanKernel {
-  enum class Mode {
-    kGeneric,    // no encoded translation; delegate to ApplyScanKernel
-    kCodeRange,  // dict: non-null rows pass iff code in [lo, hi]
-    kCodeMask,   // dict: non-null rows pass iff mask[code]
-    kRleRuns,    // rle: per-run verdict, whole failing runs skipped
-    kForRange,   // for: packed (unshifted) value in [lo, hi]
-  };
-  const ScanKernel* kernel = nullptr;
-  Mode mode = Mode::kGeneric;
-  bool negated = false;        // kCodeRange / kForRange: pass outside
-  int64_t lo = 0;              // kCodeRange: dict codes; kForRange: packed
-  int64_t hi = -1;
-  std::vector<uint8_t> mask;   // kCodeMask: DictNdv() entries
-};
-
-/// Translates `kernel` onto `column`'s encoding. Plain columns (and
-/// kernel/encoding pairs with no specialised form) yield kGeneric.
-PreparedScanKernel PrepareScanKernel(const ScanKernel& kernel,
-                                     const StorageColumn& column);
-
-/// Filters `sel` in place using the prepared (encoded-domain) form.
-void ApplyPreparedScanKernel(const PreparedScanKernel& prepared,
-                             const StorageColumn& column,
-                             SelectionVector* sel);
 
 /// Gathers the selected rows of `cols` into row-major Values, column at a
 /// time so the per-column type dispatch is hoisted out of the row loop.

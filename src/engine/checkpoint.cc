@@ -23,7 +23,9 @@ namespace {
 static_assert(std::endian::native == std::endian::little,
               "checkpoint v2 assumes a little-endian host");
 
-constexpr char kTableMagic[8] = {'T', 'P', 'C', 'D', 'S', 'T', 'B', '2'};
+// Bumped from "TPCDSTB2", whose 62-byte directory entries carried
+// column-encoding fields: such files fail the magic check as kDataLoss.
+constexpr char kTableMagic[8] = {'T', 'P', 'C', 'D', 'S', 'T', 'B', '3'};
 constexpr char kManifestMagic[8] = {'T', 'P', 'C', 'D', 'S', 'C', 'K', '2'};
 constexpr const char* kManifestName = "MANIFEST";
 // Optional statistics sidecar (engine/stats.h): per-table NDV sketches,
@@ -34,10 +36,8 @@ constexpr const char* kStatsName = "STATS";
 
 constexpr size_t kSectionAlign = 64;
 constexpr size_t kHeaderSize = 8 + 4 + 8 + 4;  // magic, cols, rows, dir crc
-// type, encoding, nulls_off, data_off, aux_off, arena_off, arena_len,
-// param0, param1, crc. Widened from the pre-encoding 37-byte entry; old
-// files fail the directory CRC and load as clean kDataLoss.
-constexpr size_t kDirEntrySize = 1 + 1 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 4;
+// type, nulls_off, data_off, arena_off, arena_len, section_crc.
+constexpr size_t kDirEntrySize = 1 + 8 + 8 + 8 + 8 + 4;
 
 Status WriteFileAtomically(const std::string& path,
                            const std::string& contents) {
@@ -94,106 +94,44 @@ uint64_t LoadU64(const char* p) {
   return v;
 }
 
-/// Per-column section placement, shared by the writer and both readers.
-/// Section meaning depends on the encoding:
-///   plain numeric  data = int64 × rows
-///   plain string   data = u64 offsets × (rows+1), arena = string bytes
-///   dict (string)  data = u32 codes × rows, aux = u64 dict offsets ×
-///                  (param0+1), arena = dictionary bytes, param0 = ndv
-///   rle (numeric)  data = int64 run values × param0, aux = u32 cumulative
-///                  run ends × param0, param0 = runs
-///   for (numeric)  data = u64 packed words (incl. one padding word),
-///                  param0 = bit-cast base, param1 = bit width
+/// Per-column section placement, shared by the writer and both readers:
+/// the null bytes (one per row), then the data — int64 × rows for numeric
+/// columns, u64 offsets × (rows+1) into the arena for string columns —
+/// and, for string columns, the arena.
 struct ColumnLayout {
   ColumnType type = ColumnType::kInteger;
-  ColEncoding encoding = ColEncoding::kPlain;
   uint64_t nulls_off = 0;
   uint64_t data_off = 0;
-  uint64_t aux_off = 0;    // dict offsets / rle ends, else 0
-  uint64_t arena_off = 0;  // plain-string / dict arena, else 0
+  uint64_t arena_off = 0;  // string columns only, else 0
   uint64_t arena_len = 0;
-  uint64_t param0 = 0;
-  uint64_t param1 = 0;
   uint32_t section_crc = 0;
 
   bool is_string() const {
     return type == ColumnType::kChar || type == ColumnType::kVarchar;
   }
-  /// Byte length of the data section (per the table above).
   uint64_t data_len(uint64_t rows) const {
-    switch (encoding) {
-      case ColEncoding::kPlain:
-        return is_string() ? (rows + 1) * sizeof(uint64_t)
-                           : rows * sizeof(int64_t);
-      case ColEncoding::kDict:
-        return rows * sizeof(uint32_t);
-      case ColEncoding::kRle:
-        return param0 * sizeof(int64_t);
-      case ColEncoding::kFor:
-        return ((rows * param1 + 63) / 64 + 1) * sizeof(uint64_t);
-    }
-    return 0;
-  }
-  /// Byte length of the aux section (0 when the encoding has none).
-  uint64_t aux_len() const {
-    switch (encoding) {
-      case ColEncoding::kDict:
-        return (param0 + 1) * sizeof(uint64_t);
-      case ColEncoding::kRle:
-        return param0 * sizeof(uint32_t);
-      default:
-        return 0;
-    }
+    return is_string() ? (rows + 1) * sizeof(uint64_t)
+                       : rows * sizeof(int64_t);
   }
 };
-
-uint64_t ArenaLength(const StorageColumn& col) {
-  if (col.encoding() == ColEncoding::kDict) {
-    return col.DictOffsets()[col.DictNdv()];
-  }
-  uint64_t total = 0;
-  for (size_t r = 0; r < col.size(); ++r) total += col.Str(r).size();
-  return total;
-}
 
 std::string EncodeTableFile(const EngineTable& table) {
   const size_t rows = static_cast<size_t>(table.num_rows());
   const size_t cols = table.num_columns();
 
-  // Pass 1: place the sections. The file persists each column's *current*
-  // representation — encoded columns write their encoded sections.
+  // Pass 1: place the sections.
   std::vector<ColumnLayout> layout(cols);
   size_t off = kHeaderSize + cols * kDirEntrySize;
   for (size_t c = 0; c < cols; ++c) {
     const StorageColumn& col = table.column(c);
     ColumnLayout& l = layout[c];
     l.type = col.type();
-    l.encoding = col.encoding();
-    switch (l.encoding) {
-      case ColEncoding::kPlain:
-        break;
-      case ColEncoding::kDict:
-        l.param0 = col.DictNdv();
-        break;
-      case ColEncoding::kRle:
-        l.param0 = col.RleRuns();
-        break;
-      case ColEncoding::kFor:
-        l.param0 = static_cast<uint64_t>(col.ForBase());
-        l.param1 = col.ForWidth();
-        break;
-    }
     l.nulls_off = off = AlignUp(off);
     off += rows;
     l.data_off = off = AlignUp(off);
     off += l.data_len(rows);
-    if (l.aux_len() > 0) {
-      l.aux_off = off = AlignUp(off);
-      off += l.aux_len();
-    }
-    if (l.encoding == ColEncoding::kDict ||
-        (l.encoding == ColEncoding::kPlain && col.is_string())) {
-      l.arena_len = ArenaLength(col);
+    if (l.is_string()) {
+      for (size_t r = 0; r < rows; ++r) l.arena_len += col.Str(r).size();
       l.arena_off = off = AlignUp(off);
       off += l.arena_len;
     }
@@ -211,14 +149,10 @@ std::string EncodeTableFile(const EngineTable& table) {
   std::vector<size_t> crc_pos(cols);
   for (size_t c = 0; c < cols; ++c) {
     out.push_back(static_cast<char>(layout[c].type));
-    out.push_back(static_cast<char>(layout[c].encoding));
     PutU64(&out, layout[c].nulls_off);
     PutU64(&out, layout[c].data_off);
-    PutU64(&out, layout[c].aux_off);
     PutU64(&out, layout[c].arena_off);
     PutU64(&out, layout[c].arena_len);
-    PutU64(&out, layout[c].param0);
-    PutU64(&out, layout[c].param1);
     crc_pos[c] = out.size();
     PutU32(&out, 0);
   }
@@ -230,54 +164,23 @@ std::string EncodeTableFile(const EngineTable& table) {
     out.append(reinterpret_cast<const char*>(col.nulls().data()), rows);
     crc = Crc32(out.data() + l.nulls_off, rows, crc);
     out.resize(l.data_off, '\0');
-    switch (l.encoding) {
-      case ColEncoding::kPlain:
-        if (col.is_string()) {
-          uint64_t run = 0;
-          PutU64(&out, run);
-          for (size_t r = 0; r < rows; ++r) {
-            run += col.Str(r).size();
-            PutU64(&out, run);
-          }
-        } else {
-          out.append(reinterpret_cast<const char*>(col.nums().data()),
-                     rows * sizeof(int64_t));
-        }
-        break;
-      case ColEncoding::kDict:
-        out.append(reinterpret_cast<const char*>(col.DictCodes()),
-                   rows * sizeof(uint32_t));
-        break;
-      case ColEncoding::kRle:
-        out.append(reinterpret_cast<const char*>(col.RleValues()),
-                   l.param0 * sizeof(int64_t));
-        break;
-      case ColEncoding::kFor:
-        out.append(reinterpret_cast<const char*>(col.ForWords()),
-                   l.data_len(rows));
-        break;
+    if (l.is_string()) {
+      uint64_t run = 0;
+      PutU64(&out, run);
+      for (size_t r = 0; r < rows; ++r) {
+        run += col.Str(r).size();
+        PutU64(&out, run);
+      }
+    } else {
+      out.append(reinterpret_cast<const char*>(col.nums().data()),
+                 rows * sizeof(int64_t));
     }
     crc = Crc32(out.data() + l.data_off, l.data_len(rows), crc);
-    if (l.aux_len() > 0) {
-      out.resize(l.aux_off, '\0');
-      if (l.encoding == ColEncoding::kDict) {
-        out.append(reinterpret_cast<const char*>(col.DictOffsets()),
-                   l.aux_len());
-      } else {
-        out.append(reinterpret_cast<const char*>(col.RleEnds()),
-                   l.aux_len());
-      }
-      crc = Crc32(out.data() + l.aux_off, l.aux_len(), crc);
-    }
-    if (l.arena_off != 0 || l.arena_len != 0) {
+    if (l.is_string()) {
       out.resize(l.arena_off, '\0');
-      if (l.encoding == ColEncoding::kDict) {
-        out.append(col.DictArena(), l.arena_len);
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          std::string_view s = col.Str(r);
-          out.append(s.data(), s.size());
-        }
+      for (size_t r = 0; r < rows; ++r) {
+        std::string_view s = col.Str(r);
+        out.append(s.data(), s.size());
       }
       crc = Crc32(out.data() + l.arena_off, l.arena_len, crc);
     }
@@ -356,9 +259,25 @@ Result<Manifest> ReadManifest(const std::string& dir) {
   return manifest;
 }
 
+/// Rejects a section that is not 64-byte aligned or escapes the file.
+/// Compares as `len > size - off` so that an offset near 2^64 cannot wrap
+/// the sum back into range.
+Status CheckSection(const std::string& col_ctx, const char* section,
+                    uint64_t off, uint64_t len, uint64_t size) {
+  if (off % kSectionAlign != 0) {
+    return Status::DataLoss(col_ctx + ": " + section + " section misaligned");
+  }
+  if (off > size || len > size - off) {
+    return Status::DataLoss(col_ctx + ": " + section +
+                            " section out of bounds");
+  }
+  return Status::OK();
+}
+
 /// Parses and validates one table file's header + directory against its
 /// manifest entry. `data`/`size` may come from a heap read or an mmap;
-/// only header and directory bytes are touched. Fills `layout`.
+/// only header and directory bytes (plus each string column's last
+/// offset) are touched. Fills `layout`.
 Status ParseTableHeader(const char* data, size_t size,
                         const ManifestTable& entry,
                         std::vector<ColumnLayout>* layout) {
@@ -386,93 +305,31 @@ Status ParseTableHeader(const char* data, size_t size,
     ColumnLayout& l = (*layout)[c];
     const std::string col_ctx = ctx + ": column " + std::to_string(c);
     TPCDS_ASSIGN_OR_RETURN(
-        l.type, DecodeColumnType(static_cast<uint8_t>(*p), ctx));
-    const uint8_t raw_enc = static_cast<uint8_t>(p[1]);
-    if (raw_enc > static_cast<uint8_t>(ColEncoding::kFor)) {
-      return Status::DataLoss(col_ctx + ": invalid encoding " +
-                              std::to_string(raw_enc));
-    }
-    l.encoding = static_cast<ColEncoding>(raw_enc);
-    l.nulls_off = LoadU64(p + 2);
-    l.data_off = LoadU64(p + 10);
-    l.aux_off = LoadU64(p + 18);
-    l.arena_off = LoadU64(p + 26);
-    l.arena_len = LoadU64(p + 34);
-    l.param0 = LoadU64(p + 42);
-    l.param1 = LoadU64(p + 50);
-    l.section_crc = LoadU32(p + 58);
+        l.type, DecodeColumnType(static_cast<uint8_t>(*p), col_ctx));
+    l.nulls_off = LoadU64(p + 1);
+    l.data_off = LoadU64(p + 9);
+    l.arena_off = LoadU64(p + 17);
+    l.arena_len = LoadU64(p + 25);
+    l.section_crc = LoadU32(p + 33);
     p += kDirEntrySize;
     if (l.type != entry.columns[c].type) {
-      return Status::DataLoss(col_ctx + " type disagrees with manifest");
+      return Status::DataLoss(col_ctx + ": type disagrees with manifest");
     }
-    // Encoding / type compatibility plus parameter sanity — the section
-    // lengths below are computed from these parameters, so reject
-    // nonsense before using them.
-    switch (l.encoding) {
-      case ColEncoding::kPlain:
-        break;
-      case ColEncoding::kDict:
-        if (!l.is_string()) {
-          return Status::DataLoss(col_ctx + ": dict on non-string column");
-        }
-        if (l.param0 > UINT32_MAX || (rows > 0 && l.param0 == 0)) {
-          return Status::DataLoss(col_ctx + ": invalid dictionary size");
-        }
-        break;
-      case ColEncoding::kRle:
-        if (l.is_string()) {
-          return Status::DataLoss(col_ctx + ": rle on string column");
-        }
-        if (rows > UINT32_MAX || l.param0 > rows || (rows > 0 && l.param0 == 0)) {
-          return Status::DataLoss(col_ctx + ": invalid run count");
-        }
-        break;
-      case ColEncoding::kFor:
-        if (l.is_string()) {
-          return Status::DataLoss(col_ctx + ": for on string column");
-        }
-        if (l.param1 > 64) {
-          return Status::DataLoss(col_ctx + ": invalid bit width");
-        }
-        break;
-    }
-    const uint64_t data_len = l.data_len(rows);
-    const uint64_t aux_len = l.aux_len();
-    const bool has_arena =
-        l.encoding == ColEncoding::kDict ||
-        (l.encoding == ColEncoding::kPlain && l.is_string());
-    // Bounds + alignment: mapped readers dereference these offsets
-    // directly, so reject anything that escapes the file or would
-    // misalign an int64 load.
-    if (l.nulls_off % kSectionAlign != 0 || l.data_off % kSectionAlign != 0 ||
-        l.nulls_off + rows > size || l.data_off + data_len > size ||
-        (aux_len > 0 &&
-         (l.aux_off % kSectionAlign != 0 || l.aux_off + aux_len > size)) ||
-        (has_arena &&
-         (l.arena_off % kSectionAlign != 0 ||
-          l.arena_off + l.arena_len > size))) {
-      return Status::DataLoss(col_ctx + " sections out of bounds");
-    }
-    if (l.encoding == ColEncoding::kPlain && l.is_string()) {
+    // Mapped readers dereference these offsets directly. The nulls check
+    // comes first: it bounds rows by the file size, so data_len(rows)
+    // cannot overflow.
+    TPCDS_RETURN_NOT_OK(
+        CheckSection(col_ctx, "nulls", l.nulls_off, rows, size));
+    TPCDS_RETURN_NOT_OK(
+        CheckSection(col_ctx, "data", l.data_off, l.data_len(rows), size));
+    if (l.is_string()) {
+      TPCDS_RETURN_NOT_OK(
+          CheckSection(col_ctx, "arena", l.arena_off, l.arena_len, size));
       // O(1) consistency probe: the offsets array must end exactly at the
       // arena length, or mapped string_views could run past the arena.
       if (LoadU64(data + l.data_off + rows * sizeof(uint64_t)) !=
           l.arena_len) {
-        return Status::DataLoss(col_ctx + " offsets/arena length mismatch");
-      }
-    }
-    if (l.encoding == ColEncoding::kDict) {
-      // Same probe on the dictionary: last offset == arena length.
-      if (LoadU64(data + l.aux_off + l.param0 * sizeof(uint64_t)) !=
-          l.arena_len) {
-        return Status::DataLoss(col_ctx + " dict offsets/arena mismatch");
-      }
-    }
-    if (l.encoding == ColEncoding::kRle && rows > 0) {
-      // O(1) probe: the cumulative run ends must finish exactly at rows.
-      if (LoadU32(data + l.aux_off + (l.param0 - 1) * sizeof(uint32_t)) !=
-          rows) {
-        return Status::DataLoss(col_ctx + " run ends do not cover rows");
+        return Status::DataLoss(col_ctx + ": offsets/arena length mismatch");
       }
     }
   }
@@ -484,25 +341,20 @@ Status ParseTableHeader(const char* data, size_t size,
 Status LoadTableFile(EngineTable* table, const ManifestTable& entry,
                      const std::string& path) {
   TPCDS_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
-  if (Crc32(data.data(), data.size()) != entry.file_crc) {
-    return Status::DataLoss("checkpoint table " + entry.name +
-                            ": file CRC mismatch with manifest");
-  }
   const std::string ctx = "checkpoint table " + entry.name;
+  if (Crc32(data.data(), data.size()) != entry.file_crc) {
+    return Status::DataLoss(ctx + ": file CRC mismatch with manifest");
+  }
   std::vector<ColumnLayout> layout;
   TPCDS_RETURN_NOT_OK(
       ParseTableHeader(data.data(), data.size(), entry, &layout));
   const size_t rows = static_cast<size_t>(entry.rows);
   for (size_t c = 0; c < layout.size(); ++c) {
     const ColumnLayout& l = layout[c];
-    const std::string col_ctx = ctx + " column " + std::to_string(c);
+    const std::string col_ctx = ctx + ": column " + std::to_string(c);
     uint32_t crc = Crc32(data.data() + l.nulls_off, rows);
     crc = Crc32(data.data() + l.data_off, l.data_len(rows), crc);
-    if (l.aux_len() > 0) {
-      crc = Crc32(data.data() + l.aux_off, l.aux_len(), crc);
-    }
-    if (l.encoding == ColEncoding::kDict ||
-        (l.encoding == ColEncoding::kPlain && l.is_string())) {
+    if (l.is_string()) {
       crc = Crc32(data.data() + l.arena_off, l.arena_len, crc);
     }
     if (crc != l.section_crc) {
@@ -513,113 +365,26 @@ Status LoadTableFile(EngineTable* table, const ManifestTable& entry,
     std::vector<uint8_t> nulls(null_bytes, null_bytes + rows);
     std::vector<int64_t> nums;
     std::vector<std::string> strings;
-    // The deep path materialises *plain* storage regardless of the
-    // on-disk encoding — it is the fully-validated recovery path, and the
-    // decode doubles as an end-to-end check of the encoded sections.
-    // Content hashes are representation-independent, so recovery
-    // verification against the WAL is unaffected.
-    switch (l.encoding) {
-      case ColEncoding::kPlain:
-        if (l.is_string()) {
-          const char* offsets_base = data.data() + l.data_off;
-          const char* arena = data.data() + l.arena_off;
-          strings.reserve(rows);
-          uint64_t prev = LoadU64(offsets_base);
-          if (prev != 0) {
-            return Status::DataLoss(col_ctx + ": offsets do not start at 0");
-          }
-          for (size_t r = 0; r < rows; ++r) {
-            uint64_t next =
-                LoadU64(offsets_base + (r + 1) * sizeof(uint64_t));
-            if (next < prev || next > l.arena_len) {
-              return Status::DataLoss(col_ctx + ": non-monotonic offsets");
-            }
-            strings.emplace_back(arena + prev, next - prev);
-            prev = next;
-          }
-        } else {
-          nums.resize(rows);
-          std::memcpy(nums.data(), data.data() + l.data_off,
-                      rows * sizeof(int64_t));
-        }
-        break;
-      case ColEncoding::kDict: {
-        const char* codes_base = data.data() + l.data_off;
-        const char* offsets_base = data.data() + l.aux_off;
-        const char* arena = data.data() + l.arena_off;
-        const uint64_t ndv = l.param0;
-        uint64_t prev = ndv > 0 ? LoadU64(offsets_base) : 0;
-        if (ndv > 0 && prev != 0) {
-          return Status::DataLoss(col_ctx +
-                                  ": dict offsets do not start at 0");
-        }
-        for (uint64_t d = 0; d < ndv; ++d) {
-          uint64_t next = LoadU64(offsets_base + (d + 1) * sizeof(uint64_t));
-          if (next < prev || next > l.arena_len) {
-            return Status::DataLoss(col_ctx + ": non-monotonic dict offsets");
-          }
-          prev = next;
-        }
-        strings.reserve(rows);
-        for (size_t r = 0; r < rows; ++r) {
-          const uint32_t code = LoadU32(codes_base + r * sizeof(uint32_t));
-          if (code >= ndv) {
-            return Status::DataLoss(col_ctx + ": dict code out of range");
-          }
-          const uint64_t lo = LoadU64(offsets_base + code * sizeof(uint64_t));
-          const uint64_t hi =
-              LoadU64(offsets_base + (code + 1) * sizeof(uint64_t));
-          strings.emplace_back(arena + lo, hi - lo);
-        }
-        break;
+    if (l.is_string()) {
+      const char* offsets_base = data.data() + l.data_off;
+      const char* arena = data.data() + l.arena_off;
+      strings.reserve(rows);
+      uint64_t prev = LoadU64(offsets_base);
+      if (prev != 0) {
+        return Status::DataLoss(col_ctx + ": offsets do not start at 0");
       }
-      case ColEncoding::kRle: {
-        const char* values_base = data.data() + l.data_off;
-        const char* ends_base = data.data() + l.aux_off;
-        nums.reserve(rows);
-        uint32_t prev_end = 0;
-        for (uint64_t run = 0; run < l.param0; ++run) {
-          const uint32_t end = LoadU32(ends_base + run * sizeof(uint32_t));
-          if (end <= prev_end || end > rows) {
-            return Status::DataLoss(col_ctx + ": non-increasing run ends");
-          }
-          int64_t v;
-          std::memcpy(&v, values_base + run * sizeof(int64_t), sizeof(v));
-          nums.insert(nums.end(), end - prev_end, v);
-          prev_end = end;
+      for (size_t r = 0; r < rows; ++r) {
+        uint64_t next = LoadU64(offsets_base + (r + 1) * sizeof(uint64_t));
+        if (next < prev || next > l.arena_len) {
+          return Status::DataLoss(col_ctx + ": non-monotonic offsets");
         }
-        if (prev_end != rows) {
-          return Status::DataLoss(col_ctx + ": run ends do not cover rows");
-        }
-        break;
+        strings.emplace_back(arena + prev, next - prev);
+        prev = next;
       }
-      case ColEncoding::kFor: {
-        const char* words_base = data.data() + l.data_off;
-        const int64_t base = static_cast<int64_t>(l.param0);
-        const uint32_t width = static_cast<uint32_t>(l.param1);
-        const uint64_t mask =
-            width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-        nums.resize(rows);
-        for (size_t r = 0; r < rows; ++r) {
-          uint64_t v = 0;
-          if (width > 0) {
-            const uint64_t bit = static_cast<uint64_t>(r) * width;
-            uint64_t w0;
-            std::memcpy(&w0, words_base + (bit >> 6) * 8, 8);
-            const unsigned shift = static_cast<unsigned>(bit & 63);
-            v = w0 >> shift;
-            if (shift + width > 64) {
-              // The padding word keeps this read in-bounds for the last
-              // packed value.
-              uint64_t w1;
-              std::memcpy(&w1, words_base + ((bit >> 6) + 1) * 8, 8);
-              v |= w1 << (64 - shift);
-            }
-          }
-          nums[r] = base + static_cast<int64_t>(v & mask);
-        }
-        break;
-      }
+    } else {
+      nums.resize(rows);
+      std::memcpy(nums.data(), data.data() + l.data_off,
+                  rows * sizeof(int64_t));
     }
     TPCDS_RETURN_NOT_OK(table->LoadColumnStorage(
         c, std::move(nums), std::move(strings), std::move(nulls)));
@@ -642,40 +407,14 @@ Status AttachTableFile(EngineTable* table, const ManifestTable& entry,
     const char* base = file->data();
     const auto* nulls = reinterpret_cast<const uint8_t*>(base + l.nulls_off);
     StorageColumn* col = table->mutable_column(c);
-    switch (l.encoding) {
-      case ColEncoding::kPlain:
-        if (l.is_string()) {
-          col->AttachStorage(
-              file, nulls, nullptr, base + l.arena_off,
-              reinterpret_cast<const uint64_t*>(base + l.data_off), rows);
-        } else {
-          col->AttachStorage(
-              file, nulls,
-              reinterpret_cast<const int64_t*>(base + l.data_off), nullptr,
-              nullptr, rows);
-        }
-        break;
-      case ColEncoding::kDict:
-        col->AttachDictStorage(
-            file, nulls,
-            reinterpret_cast<const uint32_t*>(base + l.data_off),
-            reinterpret_cast<const uint64_t*>(base + l.aux_off),
-            base + l.arena_off, static_cast<uint32_t>(l.param0), rows);
-        break;
-      case ColEncoding::kRle:
-        col->AttachRleStorage(
-            file, nulls,
-            reinterpret_cast<const int64_t*>(base + l.data_off),
-            reinterpret_cast<const uint32_t*>(base + l.aux_off),
-            static_cast<uint32_t>(l.param0), rows);
-        break;
-      case ColEncoding::kFor:
-        col->AttachForStorage(
-            file, nulls,
-            reinterpret_cast<const uint64_t*>(base + l.data_off),
-            static_cast<int64_t>(l.param0), static_cast<uint32_t>(l.param1),
-            rows);
-        break;
+    if (l.is_string()) {
+      col->AttachStorage(
+          file, nulls, nullptr, base + l.arena_off,
+          reinterpret_cast<const uint64_t*>(base + l.data_off), rows);
+    } else {
+      col->AttachStorage(
+          file, nulls, reinterpret_cast<const int64_t*>(base + l.data_off),
+          nullptr, nullptr, rows);
     }
   }
   return table->FinishRawLoad(static_cast<int64_t>(rows));

@@ -14,7 +14,7 @@ namespace tpcds {
 /// Layout of a checkpoint directory:
 ///
 ///   <table>.col   one file per table:
-///                   "TPCDSTB2" | u32 col_count | u64 row_count |
+///                   "TPCDSTB3" | u32 col_count | u64 row_count |
 ///                   u32 dir_crc | directory | payload sections
 ///                 The directory has one fixed-width entry per column:
 ///                   u8 type | u64 nulls_off | u64 data_off |
@@ -42,8 +42,9 @@ namespace tpcds {
 ///     materialises heap columns. Crash recovery uses this path — any
 ///     corruption anywhere in the checkpoint yields kDataLoss.
 ///   - AttachCheckpointFrom: O(1) cold start. mmaps each file, verifies
-///     header + directory CRC only, and points columns at the mapped
-///     sections without materialising payloads (strings stay zero-copy).
+///     header + directory CRC plus section bounds and alignment, and
+///     points columns at the mapped sections without materialising
+///     payloads (strings stay zero-copy). Payload bytes are trusted.
 ///
 /// Fault sites: "ckpt-write" fires once per table file, "ckpt-manifest"
 /// before the manifest is published.

@@ -202,12 +202,6 @@ int64_t Database::TotalRows() const {
   return total;
 }
 
-size_t Database::EncodeStorage() {
-  size_t encoded = 0;
-  for (auto& [name, table] : tables_) encoded += table->EncodeColumns();
-  return encoded;
-}
-
 size_t Database::AnalyzeStorage() {
   size_t analyzed = 0;
   for (auto& [name, table] : tables_) {
@@ -215,22 +209,6 @@ size_t Database::AnalyzeStorage() {
     ++analyzed;
   }
   return analyzed;
-}
-
-Database::CompressionStats Database::TableCompression(
-    const std::string& name) const {
-  CompressionStats cs;
-  const EngineTable* table = FindTable(name);
-  if (table == nullptr) return cs;
-  for (size_t c = 0; c < table->num_columns(); ++c) {
-    cs.encoded_bytes += table->column(c).PayloadByteSize();
-    cs.plain_bytes += table->column(c).PlainByteSize();
-  }
-  cs.ratio = cs.encoded_bytes == 0
-                 ? 1.0
-                 : static_cast<double>(cs.plain_bytes) /
-                       static_cast<double>(cs.encoded_bytes);
-  return cs;
 }
 
 Result<QueryResult> Database::Query(const std::string& sql) {

@@ -59,15 +59,6 @@ class Database {
   std::vector<std::string> TableNames() const;
   int64_t TotalRows() const;
 
-  /// Runs the per-column stats pass over every table and installs the
-  /// lightweight encoding each column qualifies for (dictionary for
-  /// low-NDV strings, RLE for clustered ints, frame-of-reference
-  /// bit-packing for dense ints — docs/STORAGE.md). A logical no-op:
-  /// queries return byte-identical results. Returns the number of columns
-  /// that changed representation. Encodings persist through
-  /// SaveCheckpoint and survive AttachCheckpoint zero-copy.
-  size_t EncodeStorage();
-
   /// Collects optimizer statistics (engine/stats.h: NDV sketches,
   /// equi-depth histograms, min/max/null counts) for every table in one
   /// pass each and installs them as the current derived-state generation.
@@ -78,16 +69,6 @@ class Database {
   /// restore them without re-scanning; data maintenance invalidates and
   /// recollects them alongside the indexes.
   size_t AnalyzeStorage();
-
-  /// Storage footprint of one table: the payload bytes of its current
-  /// (possibly encoded) representation vs. the plain representation the
-  /// load path produces. ratio = plain / encoded (1.0 when un-encoded).
-  struct CompressionStats {
-    uint64_t encoded_bytes = 0;
-    uint64_t plain_bytes = 0;
-    double ratio = 1.0;
-  };
-  CompressionStats TableCompression(const std::string& name) const;
 
   /// Immutable snapshot of the current tables stamped with the current
   /// generation id. The facade shares table storage (shared_ptr per
@@ -131,9 +112,9 @@ class Database {
   /// O(1) cold start: attaches the checkpoint via mmap without
   /// materialising column payloads — columns point straight into the
   /// mapped files (zero-copy strings included) and copy-on-write to heap
-  /// only if mutated. Header and directory CRCs are verified; payload
-  /// bytes are trusted until first deep read (use LoadCheckpoint when
-  /// end-to-end verification is required, e.g. crash recovery).
+  /// only if mutated. Header and directory CRCs, section bounds and
+  /// alignment are verified; payload bytes are trusted (use LoadCheckpoint
+  /// when end-to-end verification is required, e.g. crash recovery).
   Status AttachCheckpoint(const std::string& dir);
 
   /// Parses and executes a SELECT with the database's default planner

@@ -425,11 +425,6 @@ class PlanExecutor : public SubqueryEvaluator {
     bool has_range = false;     // int-backed: min/max over the build keys
     int64_t lo = 0;
     int64_t hi = 0;
-    /// Dictionary-encoded string column: Bloom membership evaluated once
-    /// per dictionary entry, so probe rows test one mask byte by code
-    /// instead of hashing their string. Points into the owning scan's
-    /// per-query mask storage.
-    const std::vector<uint8_t>* dict_mask = nullptr;
   };
 
   Result<std::shared_ptr<RowSet>> ExecScan(const PlanNode& node) {
@@ -543,40 +538,6 @@ class PlanExecutor : public SubqueryEvaluator {
       }
     }
 
-    // Encoded fast paths, computed once per scan: kernels translated onto
-    // each column's encoded domain, and string pushdown Blooms evaluated
-    // per dictionary entry instead of per row.
-    std::vector<PreparedScanKernel> prepared;
-    prepared.reserve(node.kernels.size());
-    for (const ScanKernel& k : node.kernels) {
-      prepared.push_back(
-          PrepareScanKernel(k, table->column(static_cast<size_t>(k.col))));
-    }
-    std::vector<ScanPushdown> local_pds;
-    std::vector<std::vector<uint8_t>> pd_masks;
-    if (pushdowns != nullptr) {
-      local_pds = *pushdowns;
-      pd_masks.resize(local_pds.size());
-      for (size_t i = 0; i < local_pds.size(); ++i) {
-        ScanPushdown& pd = local_pds[i];
-        const StorageColumn& c = table->column(static_cast<size_t>(pd.col));
-        if (!pd.is_string || pd.bloom == nullptr ||
-            c.encoding() != ColEncoding::kDict) {
-          continue;
-        }
-        pd_masks[i].resize(c.DictNdv());
-        for (uint32_t code = 0; code < c.DictNdv(); ++code) {
-          pd_masks[i][code] =
-              pd.bloom->MayContain(
-                  std::hash<std::string_view>()(c.DictEntry(code)))
-                  ? 1
-                  : 0;
-        }
-        pd.dict_mask = &pd_masks[i];
-      }
-      pushdowns = &local_pds;
-    }
-
     // Morsel-granular payload accounting: the storage columns this scan
     // reads (output + kernel + pushdown), charged per non-pruned morsel in
     // proportion to its rows. Integer math on fixed morsel boundaries, so
@@ -624,10 +585,9 @@ class PlanExecutor : public SubqueryEvaluator {
       SelectionVector sel;
       sel.reserve(e - b);
       for (size_t r = b; r < e; ++r) sel.push_back(static_cast<uint32_t>(r));
-      for (const PreparedScanKernel& pk : prepared) {
+      for (const ScanKernel& k : node.kernels) {
         if (sel.empty()) break;
-        ApplyPreparedScanKernel(
-            pk, table->column(static_cast<size_t>(pk.kernel->col)), &sel);
+        ApplyScanKernel(k, table->column(static_cast<size_t>(k.col)), &sel);
       }
       if (pushdowns != nullptr && !sel.empty()) {
         int64_t removed = ApplyPushdowns(*table, *pushdowns, &sel);
@@ -674,18 +634,7 @@ class PlanExecutor : public SubqueryEvaluator {
       const StorageColumn& c = table.column(static_cast<size_t>(pd.col));
       SelectionVector& s = *sel;
       size_t w = 0;
-      if (pd.is_string && pd.dict_mask != nullptr) {
-        const uint32_t* codes = c.DictCodes();
-        const std::vector<uint8_t>& mask = *pd.dict_mask;
-        for (uint32_t r : s) {
-          if (c.IsNull(r)) continue;
-          if (!mask[codes[r]]) {
-            ++removed;
-            continue;
-          }
-          s[w++] = r;
-        }
-      } else if (pd.is_string) {
+      if (pd.is_string) {
         for (uint32_t r : s) {
           if (c.IsNull(r)) continue;
           if (pd.bloom != nullptr &&
@@ -744,24 +693,6 @@ class PlanExecutor : public SubqueryEvaluator {
     size_t s = static_cast<size_t>(*slot);
     if (s >= scan.scan_cols.size()) return -1;
     return scan.scan_cols[s];
-  }
-
-  /// Walks schema-preserving operators on a join's build side down to the
-  /// base scan `key` traces to and returns that storage column, or nullptr.
-  /// Lets pushdown gating see the column's encoding (a dictionary's size is
-  /// an exact NDV) before any keys are collected.
-  const StorageColumn* BuildKeyColumn(const PlanNode* n,
-                                      const Expr& key) const {
-    while (n != nullptr && (n->kind == PlanKind::kSemiJoinReduce ||
-                            n->kind == PlanKind::kFilter)) {
-      n = n->children[0].get();
-    }
-    if (n == nullptr || n->kind != PlanKind::kScan) return nullptr;
-    int col = ResolveScanStorageCol(*n, key);
-    if (col < 0) return nullptr;
-    EngineTable* table = facade_->FindTable(n->table_name);
-    if (table == nullptr) return nullptr;
-    return &table->column(static_cast<size_t>(col));
   }
 
   /// Gate for pushing `keys` distinct build/dim key values into a probe
@@ -1043,18 +974,7 @@ class PlanExecutor : public SubqueryEvaluator {
       // collecting + hashing its keys is pure overhead on the probe scan
       // (e.g. a reversed star shape where the fact table is the build
       // side of a dimension join).
-      // The build side's distinct-key count is what matters, not its row
-      // count: when the build key column is dictionary-encoded, its
-      // dictionary size caps the key set exactly, so a large build side
-      // over a low-cardinality key still pushes.
-      int64_t build_keys_hint = static_cast<int64_t>(nr);
-      const StorageColumn* build_col =
-          BuildKeyColumn(node.children[1].get(), *node.equi[pd_key].right);
-      if (build_col != nullptr &&
-          build_col->encoding() == ColEncoding::kDict) {
-        build_keys_hint = std::min(
-            build_keys_hint, static_cast<int64_t>(build_col->DictNdv()));
-      }
+      const int64_t build_keys_hint = static_cast<int64_t>(nr);
       // The hint gate runs before the O(build rows) key collection; in
       // cost-based mode a hint that fails plain NDV containment but passes
       // the structural rule still collects, because the refined gate below

@@ -93,8 +93,7 @@ struct PlanOpStats {
   int64_t topk_seen = 0;
   int64_t topk_kept = 0;
   // Storage payload bytes this operator's scan read (morsel-granular:
-  // pruned morsels don't count, and encoded columns count their encoded —
-  // not decoded — footprint).
+  // pruned morsels don't count).
   int64_t bytes_touched = 0;
   // Plan-time cardinality estimate (engine/cost.h), filled in when the
   // plan was built with PlannerOptions::cost_based; negative = none.

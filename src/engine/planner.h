@@ -84,8 +84,8 @@ struct ExecStats {
   int64_t topk_seen = 0;           // rows offered to Top-K bounded heaps
   int64_t topk_kept = 0;           // rows those heaps retained
   int64_t bytes_touched = 0;       // storage payload bytes read by scans
-                                   // (morsel-granular; pruned morsels and
-                                   // encoded savings excluded)
+                                   // (morsel-granular; pruned morsels
+                                   // excluded)
 
   /// One entry per physical-plan operator, pre-order with `depth` giving
   /// the tree indentation. `executed` is false for operators skipped at

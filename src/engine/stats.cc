@@ -156,14 +156,9 @@ TableStats AnalyzeTable(const EngineTable& table) {
       }
       if (r % stride == 0) sample.push_back(v);
     }
-    if (col.encoding() == ColEncoding::kDict) {
-      cs.ndv = static_cast<int64_t>(col.DictNdv());
-      cs.ndv_exact = true;
-    } else {
-      cs.ndv = std::clamp<int64_t>(hll.Estimate(),
-                                   cs.NonNullRows() > 0 ? 1 : 0,
-                                   cs.NonNullRows());
-    }
+    cs.ndv = std::clamp<int64_t>(hll.Estimate(),
+                                 cs.NonNullRows() > 0 ? 1 : 0,
+                                 cs.NonNullRows());
     cs.histogram = BuildHistogram(std::move(sample));
   }
   return stats;
@@ -176,9 +171,8 @@ void SerializeTableStats(const TableStats& stats, std::string* out) {
     PutI64(out, cs.row_count);
     PutI64(out, cs.null_count);
     PutI64(out, cs.ndv);
-    uint8_t flags = static_cast<uint8_t>((cs.ndv_exact ? 1 : 0) |
-                                         (cs.has_minmax ? 2 : 0));
-    out->push_back(static_cast<char>(flags));
+    // Flags byte: bit 1 = has_minmax; bit 0 is unused and written as 0.
+    out->push_back(static_cast<char>(cs.has_minmax ? 2 : 0));
     PutI64(out, cs.min);
     PutI64(out, cs.max);
     PutU32(out, static_cast<uint32_t>(cs.histogram.bounds.size()));
@@ -205,7 +199,6 @@ Result<TableStats> DeserializeTableStats(ByteReader* reader) {
     cs.row_count = static_cast<int64_t>(rc);
     cs.null_count = static_cast<int64_t>(nc);
     cs.ndv = static_cast<int64_t>(ndv);
-    cs.ndv_exact = (flags & 1) != 0;
     cs.has_minmax = (flags & 2) != 0;
     cs.min = static_cast<int64_t>(mn);
     cs.max = static_cast<int64_t>(mx);

@@ -55,15 +55,13 @@ struct Histogram {
   double SelectivityRange(int64_t lo, int64_t hi) const;
 };
 
-/// One column's collected statistics. `ndv` counts distinct non-null
-/// values — exact (from the dictionary) for dict-encoded columns, a
-/// HyperLogLog estimate otherwise. min/max/histogram only exist for
+/// One column's collected statistics. `ndv` is a HyperLogLog estimate of
+/// the distinct non-null values. min/max/histogram only exist for
 /// int-backed (numeric / date / decimal-cents) columns.
 struct ColumnStats {
   int64_t row_count = 0;
   int64_t null_count = 0;
   int64_t ndv = 0;
-  bool ndv_exact = false;
   bool has_minmax = false;
   int64_t min = 0;
   int64_t max = 0;

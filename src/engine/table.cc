@@ -1,210 +1,34 @@
 #include "engine/table.h"
 
-#include <algorithm>
-#include <bit>
 #include <cstdlib>
 
 namespace tpcds {
 
-namespace {
-
-// Encoding guard rails. A dictionary past the NDV cap falls back to plain
-// (the overflow path); RLE must average at least kRleMinRunLength rows per
-// run to beat the 12 bytes a run costs; FOR widths past 32 bits save too
-// little over the plain 64-bit payload to justify the decode.
-constexpr uint32_t kDictMaxNdv = uint32_t{1} << 16;
-constexpr size_t kRleMinRunLength = 4;
-constexpr uint32_t kForMaxWidth = 32;
-
-// Packed words for `rows` values of `width` bits, plus one padding word so
-// the straddling two-word read in ForPacked never runs off the end.
-size_t ForWordCount(size_t rows, uint32_t width) {
-  return (rows * width + 63) / 64 + 1;
-}
-
-}  // namespace
-
-int64_t StorageColumn::DecodeNum(size_t row) const {
-  switch (encoding_) {
-    case ColEncoding::kRle: {
-      const uint32_t* ends = RleEnds();
-      const uint32_t* run = std::upper_bound(
-          ends, ends + enc_card_, static_cast<uint32_t>(row));
-      return RleValues()[run - ends];
-    }
-    case ColEncoding::kFor:
-      return for_base_ + static_cast<int64_t>(ForPacked(row));
-    default:
-      return NumsData()[row];
-  }
-}
-
-void StorageColumn::ClearEncoding() {
-  encoding_ = ColEncoding::kPlain;
-  enc_card_ = 0;
-  for_base_ = 0;
-  for_width_ = 0;
-  dict_codes_.clear();
-  dict_offsets_.clear();
-  dict_arena_.clear();
-  rle_values_.clear();
-  rle_ends_.clear();
-  for_words_.clear();
-  map_dict_codes_ = nullptr;
-  map_dict_offsets_ = nullptr;
-  map_dict_arena_ = nullptr;
-  map_rle_values_ = nullptr;
-  map_rle_ends_ = nullptr;
-  map_for_words_ = nullptr;
-}
-
 void StorageColumn::EnsureOwned() {
-  if (!mapped_ && encoding_ == ColEncoding::kPlain) return;
-  // Copy-on-write + decode: materialise the mapped and/or encoded payload
-  // into plain owned vectors. The mapped checkpoint pages are never
-  // written, and mutators never patch an encoded payload in place — a
-  // mutation on a mapped encoded column lands here and decodes first, so
-  // the WAL/undo byte-identity contract sees only plain storage.
+  if (!mapped_) return;
+  // Copy-on-write: materialise the mapped payload into owned vectors. The
+  // mapped checkpoint pages are never written.
   const size_t rows = size();
-  std::vector<uint8_t> plain_nulls(NullsData(), NullsData() + rows);
-  std::vector<int64_t> plain_nums;
-  std::vector<std::string> plain_strings;
+  std::vector<uint8_t> owned_nulls(map_nulls_, map_nulls_ + rows);
+  std::vector<int64_t> owned_nums;
+  std::vector<std::string> owned_strings;
   if (is_string()) {
-    plain_strings.reserve(rows);
-    for (size_t r = 0; r < rows; ++r) plain_strings.emplace_back(Str(r));
+    owned_strings.reserve(rows);
+    for (size_t r = 0; r < rows; ++r) owned_strings.emplace_back(Str(r));
   } else {
-    plain_nums.resize(rows);
-    for (size_t r = 0; r < rows; ++r) plain_nums[r] = Num(r);
+    owned_nums.assign(map_nums_, map_nums_ + rows);
   }
-  ReplaceStorage(std::move(plain_nums), std::move(plain_strings),
-                 std::move(plain_nulls));
-}
-
-bool StorageColumn::Encode() {
-  if (mapped_ || encoding_ != ColEncoding::kPlain) return false;
-  const size_t rows = size();
-  if (rows == 0) return false;
-  if (is_string()) {
-    // Dictionary: sorted unique set over *all* row payloads (NULL cells
-    // store "", which therefore gets a code too — the payload array
-    // round-trips byte-exactly). Sorted order makes code order equal
-    // string order, so string compares become integer code ranges.
-    std::vector<std::string_view> sorted;
-    sorted.reserve(rows);
-    for (const std::string& s : strings_) sorted.emplace_back(s);
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    if (sorted.size() > kDictMaxNdv) return false;  // overflow: stay plain
-    const uint32_t ndv = static_cast<uint32_t>(sorted.size());
-    uint64_t dict_bytes = 0;
-    for (std::string_view s : sorted) dict_bytes += s.size();
-    const uint64_t encoded = rows * sizeof(uint32_t) +
-                             (ndv + 1) * sizeof(uint64_t) + dict_bytes;
-    if (encoded >= PlainByteSize()) return false;
-    dict_offsets_.reserve(ndv + 1);
-    dict_offsets_.push_back(0);
-    dict_arena_.reserve(dict_bytes);
-    for (std::string_view s : sorted) {
-      dict_arena_.append(s.data(), s.size());
-      dict_offsets_.push_back(dict_arena_.size());
-    }
-    dict_codes_.resize(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      dict_codes_[r] = static_cast<uint32_t>(
-          std::lower_bound(sorted.begin(), sorted.end(),
-                           std::string_view(strings_[r])) -
-          sorted.begin());
-    }
-    enc_card_ = ndv;
-    encoding_ = ColEncoding::kDict;
-    strings_.clear();
-    strings_.shrink_to_fit();
-    return true;
-  }
-  if (rows > UINT32_MAX) return false;  // RLE ends / codes are u32
-  // One stats pass over the numeric payload: run count and min/max
-  // (NULL-slot zeros included — they are part of the payload array).
-  size_t runs = 1;
-  int64_t min = nums_[0], max = nums_[0];
-  for (size_t r = 1; r < rows; ++r) {
-    if (nums_[r] != nums_[r - 1]) ++runs;
-    min = std::min(min, nums_[r]);
-    max = std::max(max, nums_[r]);
-  }
-  if (rows / runs >= kRleMinRunLength) {
-    rle_values_.reserve(runs);
-    rle_ends_.reserve(runs);
-    for (size_t r = 0; r < rows; ++r) {
-      if (r + 1 == rows || nums_[r + 1] != nums_[r]) {
-        rle_values_.push_back(nums_[r]);
-        rle_ends_.push_back(static_cast<uint32_t>(r + 1));
-      }
-    }
-    enc_card_ = static_cast<uint32_t>(runs);
-    encoding_ = ColEncoding::kRle;
-    nums_.clear();
-    nums_.shrink_to_fit();
-    return true;
-  }
-  // Frame of reference: values become width-bit offsets from the minimum.
-  const uint64_t range =
-      static_cast<uint64_t>(max) - static_cast<uint64_t>(min);
-  const uint32_t width =
-      range == 0 ? 0 : static_cast<uint32_t>(std::bit_width(range));
-  if (width > kForMaxWidth) return false;
-  for_words_.assign(ForWordCount(rows, width), 0);
-  for (size_t r = 0; r < rows && width > 0; ++r) {
-    const uint64_t v = static_cast<uint64_t>(nums_[r]) -
-                       static_cast<uint64_t>(min);
-    const size_t bit = r * width;
-    const size_t off = bit & 63;
-    for_words_[bit >> 6] |= v << off;
-    if (off + width > 64) for_words_[(bit >> 6) + 1] |= v >> (64 - off);
-  }
-  for_base_ = min;
-  for_width_ = width;
-  encoding_ = ColEncoding::kFor;
-  nums_.clear();
-  nums_.shrink_to_fit();
-  return true;
+  ReplaceStorage(std::move(owned_nums), std::move(owned_strings),
+                 std::move(owned_nulls));
 }
 
 uint64_t StorageColumn::PayloadByteSize() const {
   const size_t rows = size();
-  switch (encoding_) {
-    case ColEncoding::kDict:
-      return rows * sizeof(uint32_t) +
-             (static_cast<uint64_t>(enc_card_) + 1) * sizeof(uint64_t) +
-             DictOffsets()[enc_card_];
-    case ColEncoding::kRle:
-      return static_cast<uint64_t>(enc_card_) *
-             (sizeof(int64_t) + sizeof(uint32_t));
-    case ColEncoding::kFor:
-      return ForWordCount(rows, for_width_) * sizeof(uint64_t);
-    case ColEncoding::kPlain:
-      break;
-  }
   if (!is_string()) return rows * sizeof(int64_t);
   if (mapped_) return (rows + 1) * sizeof(uint64_t) + map_offsets_[rows];
   uint64_t arena = 0;
   for (const std::string& s : strings_) arena += s.size();
   return (rows + 1) * sizeof(uint64_t) + arena;
-}
-
-uint64_t StorageColumn::PlainByteSize() const {
-  const size_t rows = size();
-  if (!is_string()) return rows * sizeof(int64_t);
-  if (encoding_ == ColEncoding::kDict) {
-    // Logical arena length: each row contributes its dictionary entry.
-    const uint64_t* offs = DictOffsets();
-    const uint32_t* codes = DictCodes();
-    uint64_t arena = 0;
-    for (size_t r = 0; r < rows; ++r) {
-      arena += offs[codes[r] + 1] - offs[codes[r]];
-    }
-    return (rows + 1) * sizeof(uint64_t) + arena;
-  }
-  return PayloadByteSize();
 }
 
 void StorageColumn::AttachStorage(std::shared_ptr<const MappedFile> backing,
@@ -214,7 +38,6 @@ void StorageColumn::AttachStorage(std::shared_ptr<const MappedFile> backing,
   nums_.clear();
   strings_.clear();
   nulls_.clear();
-  ClearEncoding();
   mapped_ = true;
   mapped_rows_ = rows;
   map_nulls_ = nulls;
@@ -222,39 +45,6 @@ void StorageColumn::AttachStorage(std::shared_ptr<const MappedFile> backing,
   map_arena_ = arena;
   map_offsets_ = offsets;
   backing_ = std::move(backing);
-}
-
-void StorageColumn::AttachDictStorage(
-    std::shared_ptr<const MappedFile> backing, const uint8_t* nulls,
-    const uint32_t* codes, const uint64_t* offsets, const char* arena,
-    uint32_t ndv, size_t rows) {
-  AttachStorage(std::move(backing), nulls, nullptr, nullptr, nullptr, rows);
-  encoding_ = ColEncoding::kDict;
-  enc_card_ = ndv;
-  map_dict_codes_ = codes;
-  map_dict_offsets_ = offsets;
-  map_dict_arena_ = arena;
-}
-
-void StorageColumn::AttachRleStorage(
-    std::shared_ptr<const MappedFile> backing, const uint8_t* nulls,
-    const int64_t* values, const uint32_t* ends, uint32_t runs,
-    size_t rows) {
-  AttachStorage(std::move(backing), nulls, nullptr, nullptr, nullptr, rows);
-  encoding_ = ColEncoding::kRle;
-  enc_card_ = runs;
-  map_rle_values_ = values;
-  map_rle_ends_ = ends;
-}
-
-void StorageColumn::AttachForStorage(
-    std::shared_ptr<const MappedFile> backing, const uint8_t* nulls,
-    const uint64_t* words, int64_t base, uint32_t width, size_t rows) {
-  AttachStorage(std::move(backing), nulls, nullptr, nullptr, nullptr, rows);
-  encoding_ = ColEncoding::kFor;
-  for_base_ = base;
-  for_width_ = width;
-  map_for_words_ = words;
 }
 
 Status StorageColumn::AppendParsed(const std::string& field) {
@@ -438,7 +228,6 @@ void StorageColumn::ReplaceStorage(std::vector<int64_t> nums,
   nums_ = std::move(nums);
   strings_ = std::move(strings);
   nulls_ = std::move(nulls);
-  ClearEncoding();
   mapped_ = false;
   mapped_rows_ = 0;
   map_nulls_ = nullptr;
@@ -579,14 +368,6 @@ Status EngineTable::ReinsertRows(
   return Status::OK();
 }
 
-size_t EngineTable::EncodeColumns() {
-  size_t encoded = 0;
-  for (StorageColumn& c : columns_) {
-    if (c.Encode()) ++encoded;
-  }
-  return encoded;
-}
-
 Status EngineTable::LoadColumnStorage(size_t col, std::vector<int64_t> nums,
                                       std::vector<std::string> strings,
                                       std::vector<uint8_t> nulls) {
@@ -635,26 +416,9 @@ const EngineTable::StringIndex& EngineTable::GetOrBuildStringIndex(int col) {
   if (it != derived_->string_indexes.end()) return it->second;
   StringIndex index;
   const StorageColumn& c = columns_[static_cast<size_t>(col)];
-  if (c.encoding() == ColEncoding::kDict) {
-    // Key on dictionary codes: group rows by u32 code first (no string
-    // materialisation or hashing per row), then emit one index entry per
-    // referenced dictionary string.
-    std::vector<std::vector<int64_t>> by_code(c.DictNdv());
-    for (int64_t r = 0; r < num_rows_; ++r) {
-      if (c.IsNull(static_cast<size_t>(r))) continue;
-      by_code[c.DictCodes()[static_cast<size_t>(r)]].push_back(r);
-    }
-    for (uint32_t code = 0; code < c.DictNdv(); ++code) {
-      if (!by_code[code].empty()) {
-        index.emplace(std::string(c.DictEntry(code)),
-                      std::move(by_code[code]));
-      }
-    }
-  } else {
-    for (int64_t r = 0; r < num_rows_; ++r) {
-      if (c.IsNull(static_cast<size_t>(r))) continue;
-      index[std::string(c.Str(static_cast<size_t>(r)))].push_back(r);
-    }
+  for (int64_t r = 0; r < num_rows_; ++r) {
+    if (c.IsNull(static_cast<size_t>(r))) continue;
+    index[std::string(c.Str(static_cast<size_t>(r)))].push_back(r);
   }
   return derived_->string_indexes.emplace(col, std::move(index))
       .first->second;

@@ -30,21 +30,13 @@ namespace tpcds {
 ///
 /// Two backings share one accessor surface:
 ///   - owned: std::vectors (load path, mutated tables);
-///   - mapped: pointers into an mmap'd v2 checkpoint section — numeric
+///   - mapped: pointers into an mmap'd checkpoint section — numeric
 ///     payloads and null bytes are read in place, strings resolve as
 ///     string_views into the file's arena via an offsets array. A
 ///     shared_ptr to the MappedFile keeps the pages alive.
 /// Mapped columns are immutable; the first mutation copies the column to
 /// heap storage (copy-on-write), so data maintenance on an attached
 /// generation never touches the checkpoint pages.
-///
-/// Orthogonally to the backing, the payload may be *encoded* (see
-/// ColEncoding): dictionary for low-NDV strings, RLE for clustered ints,
-/// frame-of-reference bit-packing for dense keys. Encodings are logical
-/// no-ops — every accessor decodes on the fly and EnsureOwned() decodes
-/// back to plain vectors before any mutation — so the WAL/undo and
-/// maintenance paths never see an encoded column. The vectorized kernels
-/// in engine/batch.cc evaluate predicates directly on the encoded form.
 class StorageColumn {
  public:
   explicit StorageColumn(ColumnType type) : type_(type) {}
@@ -54,11 +46,9 @@ class StorageColumn {
     return type_ == ColumnType::kChar || type_ == ColumnType::kVarchar;
   }
   bool is_mapped() const { return mapped_; }
-  ColEncoding encoding() const { return encoding_; }
 
   size_t size() const {
     if (mapped_) return mapped_rows_;
-    if (encoding_ != ColEncoding::kPlain) return nulls_.size();
     return is_string() ? strings_.size() : nums_.size();
   }
 
@@ -68,20 +58,11 @@ class StorageColumn {
   Status AppendValue(const Value& v);
 
   bool IsNull(size_t row) const { return NullsData()[row] != 0; }
-  int64_t Num(size_t row) const {
-    if (encoding_ == ColEncoding::kPlain) return NumsData()[row];
-    return DecodeNum(row);
-  }
-  /// The stored string bytes. A view into the owned vector, the dictionary
-  /// arena, or the mmap'd arena; valid as long as the column (and its
-  /// backing file) lives and the column is not mutated.
+  int64_t Num(size_t row) const { return NumsData()[row]; }
+  /// The stored string bytes. A view into the owned vector or the mmap'd
+  /// arena; valid as long as the column (and its backing file) lives and
+  /// the column is not mutated.
   std::string_view Str(size_t row) const {
-    if (encoding_ == ColEncoding::kDict) {
-      uint32_t code = DictCodes()[row];
-      const uint64_t* offs = DictOffsets();
-      return std::string_view(DictArena() + offs[code],
-                              offs[code + 1] - offs[code]);
-    }
     if (mapped_) {
       return std::string_view(map_arena_ + map_offsets_[row],
                               map_offsets_[row + 1] - map_offsets_[row]);
@@ -90,12 +71,8 @@ class StorageColumn {
   }
 
   /// Raw typed storage, for the vectorized kernels in engine/batch.cc and
-  /// the checkpoint writer. Empty span of `nums` for string columns *and*
-  /// for encoded numeric columns — callers that read the raw array must
-  /// check encoding() first and fall back to the Num() accessor (or the
-  /// encoded views below).
+  /// the checkpoint writer. `nums` is empty for string columns.
   std::span<const int64_t> nums() const {
-    if (encoding_ != ColEncoding::kPlain) return {};
     if (mapped_) {
       return {map_nums_, is_string() ? 0 : mapped_rows_};
     }
@@ -106,66 +83,9 @@ class StorageColumn {
     return {nulls_.data(), nulls_.size()};
   }
 
-  // Encoded views, uniform over owned and mapped backings. Only valid for
-  // the matching encoding().
-  const uint32_t* DictCodes() const {
-    return mapped_ ? map_dict_codes_ : dict_codes_.data();
-  }
-  /// ndv + 1 cumulative byte offsets into the dictionary arena. The
-  /// dictionary is sorted and unique, so code order is string order.
-  const uint64_t* DictOffsets() const {
-    return mapped_ ? map_dict_offsets_ : dict_offsets_.data();
-  }
-  const char* DictArena() const {
-    return mapped_ ? map_dict_arena_ : dict_arena_.data();
-  }
-  uint32_t DictNdv() const { return enc_card_; }
-  std::string_view DictEntry(uint32_t code) const {
-    const uint64_t* offs = DictOffsets();
-    return std::string_view(DictArena() + offs[code],
-                            offs[code + 1] - offs[code]);
-  }
-
-  const int64_t* RleValues() const {
-    return mapped_ ? map_rle_values_ : rle_values_.data();
-  }
-  /// Cumulative exclusive run ends, strictly increasing, last == rows.
-  const uint32_t* RleEnds() const {
-    return mapped_ ? map_rle_ends_ : rle_ends_.data();
-  }
-  uint32_t RleRuns() const { return enc_card_; }
-
-  const uint64_t* ForWords() const {
-    return mapped_ ? map_for_words_ : for_words_.data();
-  }
-  int64_t ForBase() const { return for_base_; }
-  uint32_t ForWidth() const { return for_width_; }
-  /// Packed (unshifted) value at `row`; Num() == ForBase() + this.
-  uint64_t ForPacked(size_t row) const {
-    if (for_width_ == 0) return 0;
-    size_t bit = row * for_width_;
-    const uint64_t* words = ForWords();
-    size_t off = bit & 63;
-    uint64_t v = words[bit >> 6] >> off;
-    if (off + for_width_ > 64) v |= words[(bit >> 6) + 1] << (64 - off);
-    return v & (for_width_ == 64 ? ~uint64_t{0}
-                                 : (uint64_t{1} << for_width_) - 1);
-  }
-
-  /// Stats pass: picks and applies the cheapest eligible encoding for this
-  /// column's current payload — dictionary for low-NDV strings, RLE when
-  /// runs are long, frame-of-reference bit-packing for narrow int ranges —
-  /// and returns true when the column was encoded. A column whose payload
-  /// would not shrink (e.g. dictionary overflow past the NDV cap) stays
-  /// plain and returns false. No-op on mapped or already-encoded columns.
-  bool Encode();
-
-  /// Bytes a full sequential read of the current representation touches
-  /// (payload + encoding side tables; the per-row null bytes excluded).
+  /// Bytes a full sequential read of the payload touches (int64 values,
+  /// or string offsets + arena; the per-row null bytes excluded).
   uint64_t PayloadByteSize() const;
-  /// Bytes the plain representation of the same rows would touch — the
-  /// numerator of the compression ratio. O(rows) for string columns.
-  uint64_t PlainByteSize() const;
 
   Value Get(size_t row) const;
   void Set(size_t row, const Value& v);
@@ -192,22 +112,6 @@ class StorageColumn {
                      const char* arena, const uint64_t* offsets,
                      size_t rows);
 
-  /// Zero-copy attach of an encoded checkpoint section (string column).
-  /// `offsets` carries ndv + 1 entries into `arena`.
-  void AttachDictStorage(std::shared_ptr<const MappedFile> backing,
-                         const uint8_t* nulls, const uint32_t* codes,
-                         const uint64_t* offsets, const char* arena,
-                         uint32_t ndv, size_t rows);
-  /// Zero-copy attach of an RLE section (numeric column).
-  void AttachRleStorage(std::shared_ptr<const MappedFile> backing,
-                        const uint8_t* nulls, const int64_t* values,
-                        const uint32_t* ends, uint32_t runs, size_t rows);
-  /// Zero-copy attach of a frame-of-reference section (numeric column).
-  /// `words` must carry one padding word past the packed bits.
-  void AttachForStorage(std::shared_ptr<const MappedFile> backing,
-                        const uint8_t* nulls, const uint64_t* words,
-                        int64_t base, uint32_t width, size_t rows);
-
  private:
   const uint8_t* NullsData() const {
     return mapped_ ? map_nulls_ : nulls_.data();
@@ -215,34 +119,14 @@ class StorageColumn {
   const int64_t* NumsData() const {
     return mapped_ ? map_nums_ : nums_.data();
   }
-  /// Out-of-line numeric decode for encoded columns (RLE / FOR).
-  int64_t DecodeNum(size_t row) const;
-  /// Copy-on-write *and* decode: materialises a mapped and/or encoded
-  /// column into plain owned vectors so a mutator can run. A mutation on a
-  /// mapped encoded column decodes first — the mutator never patches an
-  /// encoded payload in place. No-op for owned plain columns.
+  /// Copy-on-write: materialises a mapped column into owned vectors so a
+  /// mutator can run. No-op for owned columns.
   void EnsureOwned();
-  /// Resets all encoded state (owned vectors and mapped views) to plain.
-  void ClearEncoding();
 
   ColumnType type_;
   std::vector<int64_t> nums_;
   std::vector<std::string> strings_;
   std::vector<uint8_t> nulls_;
-
-  // Encoded payload. `encoding_` selects which set is live; owned columns
-  // use the vectors, mapped ones the pointers below. `enc_card_` is the
-  // dictionary NDV (kDict) or run count (kRle).
-  ColEncoding encoding_ = ColEncoding::kPlain;
-  uint32_t enc_card_ = 0;
-  int64_t for_base_ = 0;
-  uint32_t for_width_ = 0;
-  std::vector<uint32_t> dict_codes_;
-  std::vector<uint64_t> dict_offsets_;
-  std::string dict_arena_;
-  std::vector<int64_t> rle_values_;
-  std::vector<uint32_t> rle_ends_;
-  std::vector<uint64_t> for_words_;
 
   // Mapped view (valid when mapped_ is true).
   bool mapped_ = false;
@@ -251,12 +135,6 @@ class StorageColumn {
   const int64_t* map_nums_ = nullptr;
   const char* map_arena_ = nullptr;
   const uint64_t* map_offsets_ = nullptr;
-  const uint32_t* map_dict_codes_ = nullptr;
-  const uint64_t* map_dict_offsets_ = nullptr;
-  const char* map_dict_arena_ = nullptr;
-  const int64_t* map_rle_values_ = nullptr;
-  const uint32_t* map_rle_ends_ = nullptr;
-  const uint64_t* map_for_words_ = nullptr;
   std::shared_ptr<const MappedFile> backing_;
 };
 
@@ -326,11 +204,6 @@ class EngineTable {
   /// the delete). Surviving rows keep their relative order.
   Status ReinsertRows(const std::vector<int64_t>& sorted_rows,
                       const std::vector<std::vector<Value>>& images);
-
-  /// Runs the per-column encoding stats pass (StorageColumn::Encode) over
-  /// every column and returns how many columns ended up encoded. Logical
-  /// content is unchanged, so existing derived state stays valid.
-  size_t EncodeColumns();
 
   /// Bulk-installs one column's raw storage (checkpoint load path); pair
   /// with FinishRawLoad, which validates sizes and sets the row count.

@@ -5,8 +5,8 @@
 
 namespace tpcds {
 
-/// Logical column types of the TPC-DS schema. The engine maps these onto
-/// its physical representations (int64, scaled decimal, dictionary string).
+/// Logical column types of the TPC-DS schema. The engine stores every one
+/// of them as int64 payloads (scaled decimal cents, date JDNs) or strings.
 enum class ColumnType {
   kIdentifier,  // surrogate key / large integer (int64)
   kInteger,     // 32-bit integer semantics
@@ -18,21 +18,6 @@ enum class ColumnType {
 
 /// Returns "identifier", "integer", "decimal", "date", "char", "varchar".
 const char* ColumnTypeToString(ColumnType type);
-
-/// Physical encoding of one storage column's payload. Chosen per column by
-/// a stats pass (StorageColumn::Encode): the encoded form must round-trip
-/// the raw payload arrays byte-exactly, including the normalized 0 / ""
-/// payloads of NULL cells, so content hashes and checkpoints are
-/// representation-independent.
-enum class ColEncoding {
-  kPlain = 0,  // raw int64s / string bytes (the load-path representation)
-  kDict = 1,   // low-NDV strings: u32 code per row + sorted dictionary
-  kRle = 2,    // clustered ints: run values + cumulative run ends
-  kFor = 3,    // dense ints (surrogate keys): frame-of-reference bit-packed
-};
-
-/// Returns "plain", "dict", "rle", "for".
-const char* ColEncodingToString(ColEncoding encoding);
 
 /// Declaration of one schema column.
 struct ColumnDef {

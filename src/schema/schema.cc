@@ -25,20 +25,6 @@ const char* ColumnTypeToString(ColumnType type) {
   return "unknown";
 }
 
-const char* ColEncodingToString(ColEncoding encoding) {
-  switch (encoding) {
-    case ColEncoding::kPlain:
-      return "plain";
-    case ColEncoding::kDict:
-      return "dict";
-    case ColEncoding::kRle:
-      return "rle";
-    case ColEncoding::kFor:
-      return "for";
-  }
-  return "unknown";
-}
-
 int ColumnDef::MaxFlatWidth() const {
   switch (type) {
     case ColumnType::kIdentifier:

@@ -561,5 +561,50 @@ TEST(VectorizedScanTest, MorselsPruneByTheirOwnZoneMapBlock) {
   }
 }
 
+TEST(VectorizedScanTest, BytesTouchedChargesPayloadOfScannedMorsels) {
+  // 5000 rows: four full morsels and a partial one. Payloads are 8 bytes
+  // per int64 row; a string column adds rows + 1 u64 offsets and its
+  // arena (2 bytes per row here).
+  Database db;
+  ASSERT_TRUE(db.CreateTable("f", {{"k", ColumnType::kIdentifier},
+                                   {"v", ColumnType::kInteger},
+                                   {"s", ColumnType::kVarchar}})
+                  .ok());
+  EngineTable* t = db.FindTable("f");
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(t->AppendRowStrings({std::to_string(i),
+                                     std::to_string(i % 10),
+                                     "s" + std::to_string(i % 10)})
+                    .ok());
+  }
+  struct Case {
+    const char* sql;
+    int64_t bytes;
+    int64_t pruned;
+  };
+  const Case cases[] = {
+      // Full scan of v and s: 5000 * 8 + (5001 * 8 + 10000).
+      {"SELECT SUM(v), MAX(s) FROM f", 90008, 0},
+      // Zone maps keep only the first morsel: 1024 rows of k and v.
+      {"SELECT SUM(v) FROM f WHERE k BETWEEN 10 AND 90", 1024 * 8 * 2, 4},
+  };
+  for (const Case& c : cases) {
+    for (int workers : {1, 4}) {
+      PlannerOptions options = db.default_options();
+      options.parallelism = workers;
+      ExecStats stats;
+      Result<QueryResult> r = db.Query(c.sql, options, &stats);
+      ASSERT_TRUE(r.ok()) << c.sql << "\n" << r.status().ToString();
+      EXPECT_EQ(stats.bytes_touched, c.bytes)
+          << c.sql << " at parallelism " << workers;
+      EXPECT_EQ(stats.morsels_pruned, c.pruned)
+          << c.sql << " at parallelism " << workers;
+    }
+  }
+  Result<std::string> explain = db.Explain(cases[1].sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("bytes touched"), std::string::npos) << *explain;
+}
+
 }  // namespace
 }  // namespace tpcds

@@ -361,92 +361,6 @@ TEST_F(MmapDifferentialTest, SampledTemplatesAgreeAcrossBackings) {
   }
 }
 
-/// Encoded-vs-plain differential: the 17-template sample answered on plain
-/// storage is the reference; after EncodeStorage() installs dictionary /
-/// RLE / frame-of-reference encodings, runs at every parallelism must
-/// reproduce the reference bytes. This is the correctness oracle for the
-/// encoded scan kernels. The encodings must also pay for themselves: the
-/// encoded runs touch fewer payload bytes than the plain ones, and the
-/// fact tables compress at least 1.5x.
-class EncodedDifferentialTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    ASSERT_TRUE(db_->CreateTpcdsTables().ok());
-    GeneratorOptions options;
-    options.scale_factor = 0.002;
-    ASSERT_TRUE(db_->LoadTpcdsData(options).ok());
-  }
-
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-
-  static Database* db_;
-};
-
-Database* EncodedDifferentialTest::db_ = nullptr;
-
-TEST_F(EncodedDifferentialTest, SampledTemplatesAgreeAcrossEncodings) {
-  const int kSample[] = {1, 7, 14, 21, 27, 31, 38, 46, 55,
-                         56, 63, 70, 76, 82, 88, 95, 99};
-  QueryGenerator qgen(19620718);
-  std::vector<std::string> sqls;
-  std::vector<std::string> expected;
-  int64_t plain_bytes = 0;
-  for (int id : kSample) {
-    const QueryTemplate* tmpl = FindTemplate(id);
-    ASSERT_NE(tmpl, nullptr) << "template " << id;
-    Result<std::string> sql = qgen.Instantiate(*tmpl, 0);
-    ASSERT_TRUE(sql.ok()) << "template " << id;
-    ExecStats stats;
-    Result<QueryResult> reference =
-        db_->Query(*sql, db_->default_options(), &stats);
-    ASSERT_TRUE(reference.ok())
-        << "template " << id << ": " << reference.status().ToString();
-    sqls.push_back(*sql);
-    expected.push_back(reference->ToCsv());
-    plain_bytes += stats.bytes_touched;
-  }
-
-  // Encoding is a logical no-op: the content hash (representation
-  // independent by construction) must not move.
-  const uint64_t hash_before = HashFacadeContent(*db_->Snapshot());
-  const size_t encoded = db_->EncodeStorage();
-  EXPECT_GT(encoded, 0u) << "no column qualified for any encoding";
-  EXPECT_EQ(HashFacadeContent(*db_->Snapshot()), hash_before);
-
-  uint64_t fact_plain = 0;
-  uint64_t fact_encoded = 0;
-  for (const char* fact :
-       {"store_sales", "catalog_sales", "web_sales", "inventory"}) {
-    Database::CompressionStats cs = db_->TableCompression(fact);
-    fact_plain += cs.plain_bytes;
-    fact_encoded += cs.encoded_bytes;
-  }
-  EXPECT_GE(static_cast<double>(fact_plain),
-            1.5 * static_cast<double>(fact_encoded))
-      << "fact tables: " << fact_plain << " plain vs " << fact_encoded
-      << " encoded payload bytes";
-
-  int64_t encoded_bytes = 0;
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    for (int workers : {1, 4}) {
-      PlannerOptions options = db_->default_options();
-      options.parallelism = workers;
-      ExecStats stats;
-      Result<QueryResult> run = db_->Query(sqls[i], options, &stats);
-      ASSERT_TRUE(run.ok()) << "template " << kSample[i] << ": "
-                            << run.status().ToString();
-      EXPECT_EQ(run->ToCsv(), expected[i])
-          << "template " << kSample[i] << " at parallelism " << workers;
-      if (workers == 1) encoded_bytes += stats.bytes_touched;
-    }
-  }
-  EXPECT_LT(encoded_bytes, plain_bytes);
-}
-
 /// Cost-based-vs-structural differential: the 17-template sample answered
 /// by the structural planner (cost_based off, FROM-order shapes) is the
 /// reference; the cost-based planner may reorder joins, reorder star

@@ -1,13 +1,19 @@
-// Durability tests: checkpoint round-trip fidelity, WAL framing and torn
-// tails, and crash-point recovery for the data-maintenance run — after a
-// fault at any WAL or checkpoint site, recovery must rebuild exactly the
-// committed prefix, byte-identical (content hash) to the live database.
+// Durability tests: checkpoint round-trip fidelity, rejection of every
+// malformed table file on both read paths, copy-on-write of mapped
+// columns, WAL framing and torn tails, and crash-point recovery for the
+// data-maintenance run — after a fault at any WAL or checkpoint site,
+// recovery must rebuild exactly the committed prefix, byte-identical
+// (content hash) to the live database.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,6 +25,7 @@
 #include "temp_path.h"
 #include "util/fault.h"
 #include "util/flatfile.h"
+#include "util/string_util.h"
 #include "util/wal.h"
 
 namespace tpcds {
@@ -146,6 +153,315 @@ TEST_F(RecoveryTest, CheckpointWriteFaultsLeaveNoManifest) {
     fs::remove_all(dir);
   }
 }
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+constexpr size_t kRows = 200;
+
+/// Saves a kRows-row table `t` (identifier `k`, varchar `s`, date `d`,
+/// each with NULLs) as the only table of a checkpoint in `dir`.
+void SaveSmallCheckpoint(const std::string& dir) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", {{"k", ColumnType::kIdentifier},
+                                   {"s", ColumnType::kVarchar},
+                                   {"d", ColumnType::kDate}})
+                  .ok());
+  EngineTable* t = db.FindTable("t");
+  for (size_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t->AppendRowStrings(
+                     {i % 17 == 0 ? "" : std::to_string(1000 + i),
+                      i % 13 == 0 ? "" : "s" + std::to_string(i % 9),
+                      i % 11 == 0 ? "" : StringPrintf("1998-02-%02zu",
+                                                      1 + i / 10)})
+                    .ok());
+  }
+  fs::remove_all(dir);
+  Status st = db.SaveCheckpoint(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
+/// Mapped copy-on-write: mutating an attached table copies exactly the
+/// columns it writes to the heap, ends in the same content as the same
+/// mutations on heap storage, and never writes the checkpoint file.
+TEST(MappedCheckpointTest, MutationsCopyOnWriteAndLeaveFileUnchanged) {
+  const std::string dir = ProcessTempPath("mapped_cow_ckpt");
+  SaveSmallCheckpoint(dir);
+  const std::string file_before = ReadBytes(dir + "/t.col");
+  ASSERT_FALSE(file_before.empty());
+
+  Database heap;
+  ASSERT_TRUE(heap.LoadCheckpoint(dir).ok());
+  Database attached;
+  ASSERT_TRUE(attached.AttachCheckpoint(dir).ok());
+  EngineTable* ht = heap.FindTable("t");
+  EngineTable* at = attached.FindTable("t");
+  for (size_t c = 0; c < at->num_columns(); ++c) {
+    ASSERT_TRUE(at->column(c).is_mapped()) << "column " << c;
+    ASSERT_FALSE(ht->column(c).is_mapped()) << "column " << c;
+  }
+  ASSERT_EQ(HashTableContent(*at), HashTableContent(*ht));
+
+  for (EngineTable* t : {ht, at}) {
+    t->SetValue(10, 1, Value::Str("X"));
+    t->SetValue(kRows - 1, 0, Value::Int(99));
+  }
+  EXPECT_FALSE(at->column(0).is_mapped());
+  EXPECT_FALSE(at->column(1).is_mapped());
+  EXPECT_TRUE(at->column(2).is_mapped()) << "an unwritten column copied";
+  EXPECT_EQ(HashTableContent(*at), HashTableContent(*ht));
+
+  for (EngineTable* t : {ht, at}) {
+    ASSERT_TRUE(t->AppendRowStrings({"2000", "", "1998-03-01"}).ok());
+    EXPECT_EQ(t->DeleteRows({3, 150}), 2);
+  }
+  for (size_t c = 0; c < at->num_columns(); ++c) {
+    EXPECT_FALSE(at->column(c).is_mapped()) << "column " << c;
+  }
+  EXPECT_EQ(at->num_rows(), static_cast<int64_t>(kRows) - 1);
+  EXPECT_EQ(HashTableContent(*at), HashTableContent(*ht));
+  EXPECT_EQ(ReadBytes(dir + "/t.col"), file_before);
+  fs::remove_all(dir);
+}
+
+// ---- checkpoint rejection ---------------------------------------------
+//
+// Each case edits the saved t.col, then recomputes whichever checksums
+// stand between the edit and the check it targets, so the load reaches
+// that check instead of failing an earlier one.
+
+/// Table-file layout (engine/checkpoint.h): "TPCDSTB3" | u32 cols |
+/// u64 rows | u32 dir_crc, then per column type(1) nulls_off(8)
+/// data_off(8) arena_off(8) arena_len(8) section_crc(4).
+constexpr size_t kTableHeader = 24;
+constexpr size_t kDirEntry = 37;
+constexpr size_t kCols = 3;
+enum Field : size_t {
+  kType = 0,
+  kNullsOff = 1,
+  kDataOff = 9,
+  kArenaOff = 17,
+  kArenaLen = 25,
+  kSectionCrc = 33,
+};
+constexpr size_t kStringCol = 1;
+
+struct TableFile {
+  std::string bytes;
+
+  size_t Pos(size_t col, Field field) const {
+    return kTableHeader + col * kDirEntry + field;
+  }
+  uint64_t Get(size_t col, Field field) const {
+    uint64_t v;
+    std::memcpy(&v, bytes.data() + Pos(col, field), sizeof(v));
+    return v;
+  }
+  void Set(size_t col, Field field, uint64_t v) {
+    std::memcpy(bytes.data() + Pos(col, field), &v, sizeof(v));
+  }
+  void SetU32(size_t pos, uint32_t v) {
+    std::memcpy(bytes.data() + pos, &v, sizeof(v));
+  }
+  /// Sets entry `row` of the string column's offsets array.
+  void SetStringOffset(size_t row, uint64_t v) {
+    std::memcpy(bytes.data() + Get(kStringCol, kDataOff) + row * 8, &v,
+                sizeof(v));
+  }
+  /// An aligned offset past the end of the file.
+  uint64_t PastEnd() const { return (bytes.size() / 64 + 1) * 64; }
+
+  /// Recomputes column `col`'s section CRC over nulls, data and arena.
+  void ResealSection(size_t col) {
+    const bool str = col == kStringCol;
+    const char* b = bytes.data();
+    uint32_t crc = Crc32(b + Get(col, kNullsOff), kRows);
+    crc = Crc32(b + Get(col, kDataOff), (kRows + (str ? 1 : 0)) * 8, crc);
+    if (str) crc = Crc32(b + Get(col, kArenaOff), Get(col, kArenaLen), crc);
+    SetU32(Pos(col, kSectionCrc), crc);
+  }
+  void ResealDirectory() {
+    SetU32(20, Crc32(bytes.data() + kTableHeader, kCols * kDirEntry));
+  }
+};
+
+/// The same table in the 62-byte-entry layout that carried column
+/// encodings (magic "TPCDSTB2"; per column type, encoding, nulls_off,
+/// data_off, aux_off, arena_off, arena_len, param0, param1, section_crc),
+/// every column plain.
+void ToOldLayout(TableFile* f) {
+  const size_t old_entry = 62;
+  std::string out = "TPCDSTB2";
+  out.append(f->bytes, 8, 16);  // cols, rows, dir_crc (patched below)
+  std::string sections;
+  size_t off = kTableHeader + kCols * old_entry;
+  auto place = [&](uint64_t from, uint64_t len) {
+    off = (off + 63) / 64 * 64;
+    sections.resize(off - kTableHeader - kCols * old_entry, '\0');
+    sections.append(f->bytes, from, len);
+    const uint64_t at = off;
+    off += len;
+    return at;
+  };
+  for (size_t c = 0; c < kCols; ++c) {
+    const bool str = c == kStringCol;
+    const uint64_t nulls = place(f->Get(c, kNullsOff), kRows);
+    const uint64_t data =
+        place(f->Get(c, kDataOff), (kRows + (str ? 1 : 0)) * 8);
+    const uint64_t arena =
+        str ? place(f->Get(c, kArenaOff), f->Get(c, kArenaLen)) : 0;
+    out.push_back(f->bytes[f->Pos(c, kType)]);
+    out.push_back('\0');  // plain
+    for (uint64_t v : {nulls, data, uint64_t{0}, arena, f->Get(c, kArenaLen),
+                       uint64_t{0}, uint64_t{0}}) {
+      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    }
+    out.append(f->bytes, f->Pos(c, kSectionCrc), 4);
+  }
+  const uint32_t dir_crc =
+      Crc32(out.data() + kTableHeader, kCols * old_entry);
+  std::memcpy(out.data() + 20, &dir_crc, sizeof(dir_crc));
+  f->bytes = out + sections;
+}
+
+enum class Reseal { kNone, kDirectory, kSectionAndDirectory };
+
+struct Rejection {
+  const char* name;
+  void (*edit)(TableFile*);
+  Reseal reseal;
+  bool deep_only;    // a payload check only LoadCheckpoint makes
+  const char* message;
+};
+
+const Rejection kRejections[] = {
+    {"TruncatedFile", [](TableFile* f) { f->bytes.resize(10); },
+     Reseal::kNone, false, "t: truncated or bad magic"},
+    {"BadMagic", [](TableFile* f) { f->bytes[7] = 'X'; }, Reseal::kNone,
+     false, "t: truncated or bad magic"},
+    {"OldEncodedLayout", ToOldLayout, Reseal::kNone, false,
+     "t: truncated or bad magic"},
+    {"RowCountDisagrees", [](TableFile* f) { f->SetU32(12, kRows + 1); },
+     Reseal::kNone, false, "t: header disagrees with manifest"},
+    {"ColumnCountDisagrees", [](TableFile* f) { f->SetU32(8, kCols + 1); },
+     Reseal::kNone, false, "t: header disagrees with manifest"},
+    {"TruncatedDirectory",
+     [](TableFile* f) { f->bytes.resize(kTableHeader + 2 * kDirEntry); },
+     Reseal::kNone, false, "t: truncated directory"},
+    {"DirectoryCrcMismatch",
+     [](TableFile* f) { f->Set(2, kArenaLen, 1); }, Reseal::kNone, false,
+     "t: directory CRC mismatch"},
+    {"InvalidTypeByte", [](TableFile* f) { f->bytes[f->Pos(0, kType)] = 6; },
+     Reseal::kDirectory, false, "column 0: invalid column type 6"},
+    {"TypeDisagreesWithManifest",
+     [](TableFile* f) {
+       f->bytes[f->Pos(0, kType)] = static_cast<char>(ColumnType::kInteger);
+     },
+     Reseal::kDirectory, false, "column 0: type disagrees with manifest"},
+    {"NullsOutOfBounds",
+     [](TableFile* f) { f->Set(0, kNullsOff, f->PastEnd()); },
+     Reseal::kDirectory, false, "column 0: nulls section out of bounds"},
+    {"DataOutOfBounds",
+     [](TableFile* f) { f->Set(2, kDataOff, f->PastEnd() - 64); },
+     Reseal::kDirectory, false, "column 2: data section out of bounds"},
+    {"ArenaOutOfBounds",
+     [](TableFile* f) {
+       f->Set(kStringCol, kArenaLen, f->Get(kStringCol, kArenaLen) + 4096);
+     },
+     Reseal::kDirectory, false, "column 1: arena section out of bounds"},
+    {"NullsMisaligned",
+     [](TableFile* f) { f->Set(0, kNullsOff, f->Get(0, kNullsOff) + 1); },
+     Reseal::kDirectory, false, "column 0: nulls section misaligned"},
+    {"DataMisaligned",
+     [](TableFile* f) { f->Set(2, kDataOff, f->Get(2, kDataOff) + 8); },
+     Reseal::kDirectory, false, "column 2: data section misaligned"},
+    {"ArenaMisaligned",
+     [](TableFile* f) {
+       f->Set(kStringCol, kArenaOff, f->Get(kStringCol, kArenaOff) + 1);
+     },
+     Reseal::kDirectory, false, "column 1: arena section misaligned"},
+    {"OffsetsDisagreeWithArenaLength",
+     [](TableFile* f) {
+       f->Set(kStringCol, kArenaLen, f->Get(kStringCol, kArenaLen) - 1);
+     },
+     Reseal::kDirectory, false, "column 1: offsets/arena length mismatch"},
+    // 2^64 - 64 is 64-byte aligned, and nulls_off + rows wraps to 136.
+    {"WrappingNullsOffset",
+     [](TableFile* f) { f->Set(0, kNullsOff, ~uint64_t{0} - 63); },
+     Reseal::kDirectory, false, "column 0: nulls section out of bounds"},
+    {"SectionCrcMismatch",
+     [](TableFile* f) { f->bytes[f->Get(0, kNullsOff)] ^= 1; },
+     Reseal::kNone, true, "column 0: section CRC mismatch"},
+    {"OffsetsDoNotStartAtZero",
+     [](TableFile* f) { f->SetStringOffset(0, 1); },
+     Reseal::kSectionAndDirectory, true, "column 1: offsets do not start at 0"},
+    {"NonMonotonicOffsets",
+     [](TableFile* f) {
+       f->SetStringOffset(1, f->Get(kStringCol, kArenaLen));
+     },
+     Reseal::kSectionAndDirectory, true, "column 1: non-monotonic offsets"},
+};
+
+struct RejectionParam {
+  const Rejection* rejection;
+  bool attach;
+};
+
+// Names each ctest case after its rejection and read path.
+void PrintTo(const RejectionParam& p, std::ostream* os) {
+  *os << p.rejection->name << (p.attach ? "OnAttach" : "OnLoad");
+}
+
+std::vector<RejectionParam> RejectionParams() {
+  std::vector<RejectionParam> params;
+  for (const Rejection& r : kRejections) {
+    if (!r.deep_only) params.push_back({&r, true});
+    params.push_back({&r, false});
+  }
+  return params;
+}
+
+class CheckpointRejectionTest
+    : public ::testing::TestWithParam<RejectionParam> {};
+
+TEST_P(CheckpointRejectionTest, RejectsAsDataLoss) {
+  const Rejection& r = *GetParam().rejection;
+  const std::string dir = ProcessTempPath("rejection_ckpt");
+  SaveSmallCheckpoint(dir);
+  TableFile file{ReadBytes(dir + "/t.col")};
+  ASSERT_GT(file.bytes.size(), kTableHeader + kCols * kDirEntry);
+  r.edit(&file);
+  if (r.reseal == Reseal::kSectionAndDirectory) file.ResealSection(kStringCol);
+  if (r.reseal != Reseal::kNone) file.ResealDirectory();
+  WriteBytes(dir + "/t.col", file.bytes);
+  // The deep path checks the whole-file CRC in the manifest first. With
+  // one table, its CRC is the last field of the manifest body.
+  std::string manifest = ReadBytes(dir + "/MANIFEST");
+  const uint32_t file_crc = Crc32(file.bytes.data(), file.bytes.size());
+  std::memcpy(manifest.data() + manifest.size() - 8, &file_crc, 4);
+  const uint32_t body_crc = Crc32(manifest.data() + 8, manifest.size() - 12);
+  std::memcpy(manifest.data() + manifest.size() - 4, &body_crc, 4);
+  WriteBytes(dir + "/MANIFEST", manifest);
+
+  Database db;
+  Status st = GetParam().attach ? db.AttachCheckpoint(dir)
+                                : db.LoadCheckpoint(dir);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+  EXPECT_NE(st.message().find(r.message), std::string::npos)
+      << st.ToString();
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corruptions, CheckpointRejectionTest,
+                         ::testing::ValuesIn(RejectionParams()));
 
 TEST(WalTest, RoundTripPreservesRecordsAndLsns) {
   std::string path = ProcessTempPath("wal_roundtrip.wal");

@@ -101,7 +101,7 @@ TEST(HistogramTest, SingleDistinctValueDegeneratesCleanly) {
   EXPECT_EQ(cs.histogram.SelectivityRange(8, 9), 0.0);
 }
 
-TEST(StatsTest, AnalyzeCountsNullsMinMaxAndExactDictNdv) {
+TEST(StatsTest, AnalyzeCountsNullsMinMaxAndNdv) {
   Database db;
   ASSERT_TRUE(db.CreateTable("t", {{"n", ColumnType::kInteger},
                                    {"s", ColumnType::kVarchar}})
@@ -110,7 +110,7 @@ TEST(StatsTest, AnalyzeCountsNullsMinMaxAndExactDictNdv) {
   for (int i = 0; i < 1000; ++i) {
     std::vector<std::string> fields(2);
     if (i % 10 != 0) fields[0] = std::to_string(i % 250 - 25);
-    fields[1] = "cat" + std::to_string(i % 16);  // low NDV -> dictionary
+    fields[1] = "cat" + std::to_string(i % 16);
     ASSERT_TRUE(table->AppendRowStrings(fields).ok());
   }
   TableStats stats = AnalyzeTable(*table);
@@ -122,13 +122,10 @@ TEST(StatsTest, AnalyzeCountsNullsMinMaxAndExactDictNdv) {
   EXPECT_EQ(stats.columns[0].min, -24);
   EXPECT_EQ(stats.columns[0].max, 224);
   EXPECT_NEAR(static_cast<double>(stats.columns[0].ndv), 225.0, 12.0);
-  EXPECT_FALSE(stats.columns[0].ndv_exact);
-
-  // After dictionary encoding the string column's NDV is exact.
-  EXPECT_GT(db.EncodeStorage(), 0u);
-  TableStats encoded = AnalyzeTable(*table);
-  EXPECT_TRUE(encoded.columns[1].ndv_exact);
-  EXPECT_EQ(encoded.columns[1].ndv, 16);
+  // Small string domains sit in the sketch's linear-counting range.
+  EXPECT_EQ(stats.columns[1].null_count, 0);
+  EXPECT_FALSE(stats.columns[1].has_minmax);
+  EXPECT_NEAR(static_cast<double>(stats.columns[1].ndv), 16.0, 1.0);
 }
 
 TEST(StatsTest, SerializationRoundTripsExactly) {
@@ -161,7 +158,6 @@ TEST(StatsTest, SerializationRoundTripsExactly) {
     EXPECT_EQ(b.row_count, a.row_count);
     EXPECT_EQ(b.null_count, a.null_count);
     EXPECT_EQ(b.ndv, a.ndv);
-    EXPECT_EQ(b.ndv_exact, a.ndv_exact);
     EXPECT_EQ(b.has_minmax, a.has_minmax);
     EXPECT_EQ(b.min, a.min);
     EXPECT_EQ(b.max, a.max);
