@@ -423,18 +423,24 @@ Status AttachTableFile(EngineTable* table, const ManifestTable& entry,
 using TableFileLoader = Status (*)(EngineTable*, const ManifestTable&,
                                    const std::string&);
 
-/// Writes the statistics sidecar: every table whose stats are currently
-/// computed (Database::AnalyzeStorage computes all of them) serialises
-/// under its name. Always written — an empty sidecar overwrites any stale
-/// one left in a reused directory.
+/// Writes the statistics sidecar: every table whose stats were collected
+/// from its current rows serialises under its name. Stats carried across
+/// maintenance with rows changed since their analysis are left out: the
+/// sidecar has no field for that count, so a reload would take them as
+/// fresh; such a table analyses lazily after the reload instead. Always
+/// written — an empty sidecar overwrites any stale one left in a reused
+/// directory.
 Status WriteStatsFile(const Database& db, const std::string& dir) {
   std::string body;
   std::vector<std::pair<std::string, std::shared_ptr<const TableStats>>>
       entries;
   for (const std::string& name : db.TableNames()) {
+    int64_t rows_changed = 0;
     std::shared_ptr<const TableStats> stats =
-        db.FindTable(name)->ComputedStats();
-    if (stats != nullptr) entries.emplace_back(name, std::move(stats));
+        db.FindTable(name)->ComputedStats(&rows_changed);
+    if (stats != nullptr && rows_changed == 0) {
+      entries.emplace_back(name, std::move(stats));
+    }
   }
   PutU32(&body, static_cast<uint32_t>(entries.size()));
   for (const auto& [name, stats] : entries) {

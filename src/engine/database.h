@@ -59,15 +59,17 @@ class Database {
   std::vector<std::string> TableNames() const;
   int64_t TotalRows() const;
 
-  /// Collects optimizer statistics (engine/stats.h: NDV sketches,
-  /// equi-depth histograms, min/max/null counts) for every table in one
-  /// pass each and installs them as the current derived-state generation.
-  /// Queries planned with PlannerOptions::cost_based pick the stats up
+  /// Brings every table's optimizer statistics (engine/stats.h: NDV
+  /// sketches, equi-depth histograms, min/max/null counts) up to date
+  /// through EngineTable::GetOrComputeStats: a table with none, or with
+  /// more than a tenth of its rows changed since its last analysis, is
+  /// analysed in one pass; the others keep what they carry. Queries
+  /// planned with PlannerOptions::cost_based pick the stats up
   /// immediately; tables left un-analyzed collect lazily on first use.
-  /// Returns the number of tables analyzed. Stats persist through
-  /// SaveCheckpoint (STATS aux file) so LoadCheckpoint/AttachCheckpoint
-  /// restore them without re-scanning; data maintenance invalidates and
-  /// recollects them alongside the indexes.
+  /// Returns the number of tables visited. Maintenance generations carry
+  /// stats to the next generation; SaveCheckpoint (STATS sidecar) keeps
+  /// those with no rows changed since their analysis, so
+  /// LoadCheckpoint/AttachCheckpoint restore them without re-scanning.
   size_t AnalyzeStorage();
 
   /// Immutable snapshot of the current tables stamped with the current

@@ -187,6 +187,10 @@ Result<TableStats> DeserializeTableStats(ByteReader* reader) {
   TPCDS_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
   stats.row_count = static_cast<int64_t>(rows);
   TPCDS_ASSIGN_OR_RETURN(uint32_t cols, reader->ReadU32());
+  // A column entry is at least row, null and NDV counts, the flags byte,
+  // min, max, the bound count and the sample size.
+  constexpr size_t kMinColumnBytes = 8 * 3 + 1 + 8 * 2 + 4 + 8;
+  TPCDS_RETURN_NOT_OK(reader->NeedItems(cols, kMinColumnBytes, "columns"));
   stats.columns.resize(cols);
   for (uint32_t c = 0; c < cols; ++c) {
     ColumnStats& cs = stats.columns[c];
@@ -206,6 +210,9 @@ Result<TableStats> DeserializeTableStats(ByteReader* reader) {
     if (nbounds == 1) {
       return Status::DataLoss("column stats: malformed histogram");
     }
+    // Each bound but the last is followed by a bucket count.
+    TPCDS_RETURN_NOT_OK(
+        reader->NeedItems(nbounds, 2 * sizeof(int64_t), "histogram bounds"));
     cs.histogram.bounds.resize(nbounds);
     for (uint32_t i = 0; i < nbounds; ++i) {
       TPCDS_ASSIGN_OR_RETURN(uint64_t b, reader->ReadU64());

@@ -578,21 +578,14 @@ Status RunMaintenanceGeneration(Database* db,
   // non-durable failure already rolled the fork back to pristine — the
   // swap is then skipped so `db` never even observes the no-op adoption.
   if (status.ok() || wal != nullptr) {
-    // Optimizer statistics on the mutated tables were invalidated with the
-    // rest of the derived state. Recollect before publishing — but only
-    // where the outgoing generation had computed stats, so workloads that
-    // never plan cost-based don't pay an analyze pass per cycle.
-    std::vector<std::string> refresh;
-    for (const std::string& name : MaintainedTables()) {
-      const EngineTable* old_table = db->FindTable(name);
-      if (old_table != nullptr && old_table->ComputedStats() != nullptr) {
-        refresh.push_back(name);
-      }
-    }
     TPCDS_RETURN_NOT_OK(db->AdoptTablesFrom(build.get()));
-    for (const std::string& name : refresh) {
+    // The clones carried their statistics and changed-row counts. Apply
+    // the re-analysis rule before publishing, so no query pays for it;
+    // tables never analysed stay that way (workloads that never plan
+    // cost-based pay no analyze pass).
+    for (const std::string& name : MaintainedTables()) {
       EngineTable* table = db->FindTable(name);
-      if (table != nullptr) table->GetOrComputeStats();
+      if (table->ComputedStats() != nullptr) table->GetOrComputeStats();
     }
     if (provider != nullptr) provider->Publish(db->Snapshot());
   }

@@ -49,6 +49,18 @@ class ByteReader {
     return Status::OK();
   }
 
+  /// Checks that `count` items of at least `item_bytes` bytes each fit in
+  /// what is left, so a corrupt count read from the buffer fails here
+  /// instead of sizing an allocation. `what` names the items.
+  Status NeedItems(uint64_t count, size_t item_bytes, const char* what) {
+    if (count > remaining() / item_bytes) {
+      return Status::DataLoss(context_ + ": " + std::to_string(count) + " " +
+                              what + " exceed the " +
+                              std::to_string(remaining()) + " bytes left");
+    }
+    return Status::OK();
+  }
+
   Result<uint8_t> ReadU8() {
     TPCDS_RETURN_NOT_OK(Need(1));
     return static_cast<uint8_t>(data_[pos_++]);

@@ -8,12 +8,15 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "engine/audit.h"
 #include "engine/data_facade.h"
 #include "engine/database.h"
+#include "engine/stats.h"
 #include "maintenance/maintenance.h"
 #include "qgen/qgen.h"
 #include "temp_path.h"
@@ -428,6 +431,79 @@ TEST_F(CostBasedDifferentialTest, SampledTemplatesAgreeWithStructuralPlans) {
         }
       }
     }
+  }
+}
+
+/// Plan drift under carried statistics: maintenance generations carry each
+/// table's statistics forward until more than a tenth of its rows changed
+/// (EngineTable::GetOrComputeStats), so after 12 cycles the planner works
+/// from statistics several cycles old. For every sampled template the
+/// worst estimation error may age, but stays within 2x of its value under
+/// the statistics a fresh analysis collects, and the answers are the same
+/// bytes either way.
+TEST(PlanDriftTest, CarriedStatisticsStayWithinTwiceFreshQError) {
+  Database db;
+  ASSERT_TRUE(db.CreateTpcdsTables().ok());
+  GeneratorOptions gen;
+  gen.scale_factor = 0.002;
+  ASSERT_TRUE(db.LoadTpcdsData(gen).ok());
+  EXPECT_GT(db.AnalyzeStorage(), 0u);
+  for (int cycle = 1; cycle <= 12; ++cycle) {
+    MaintenanceOptions dm;
+    dm.scale_factor = 0.002;
+    dm.refresh_cycle = cycle;
+    MaintenanceReport report;
+    Status st = RunMaintenanceGeneration(&db, dm, &report);
+    ASSERT_TRUE(st.ok()) << "cycle " << cycle << ": " << st.ToString();
+  }
+  // Carried, not recollected: the fact table's statistics describe an
+  // older row count than the table holds.
+  const EngineTable* sales = db.FindTable("store_sales");
+  ASSERT_NE(sales->ComputedStats()->row_count, sales->num_rows());
+
+  const int kSample[] = {1, 7, 14, 21, 27, 31, 38, 46, 55,
+                         56, 63, 70, 76, 82, 88, 95, 99};
+  QueryGenerator qgen(19620718);
+  PlannerOptions options = db.default_options();
+  options.parallelism = 1;
+  ASSERT_TRUE(options.cost_based);
+  struct Run {
+    std::string csv;
+    double max_q_error = 0.0;
+  };
+  auto run_sample = [&]() {
+    std::map<int, Run> runs;
+    for (int id : kSample) {
+      const QueryTemplate* tmpl = FindTemplate(id);
+      EXPECT_NE(tmpl, nullptr) << "template " << id;
+      if (tmpl == nullptr) continue;
+      Result<std::string> sql = qgen.Instantiate(*tmpl, 0);
+      EXPECT_TRUE(sql.ok()) << "template " << id;
+      if (!sql.ok()) continue;
+      ExecStats stats;
+      Result<QueryResult> r = db.Query(*sql, options, &stats);
+      EXPECT_TRUE(r.ok()) << "template " << id << ": "
+                          << r.status().ToString();
+      if (r.ok()) runs[id] = Run{r->ToCsv(), stats.max_q_error};
+    }
+    return runs;
+  };
+  const std::map<int, Run> carried = run_sample();
+  for (const std::string& name : db.TableNames()) {
+    EngineTable* table = db.FindTable(name);
+    table->InstallStats(std::make_shared<TableStats>(AnalyzeTable(*table)));
+  }
+  const std::map<int, Run> fresh = run_sample();
+  ASSERT_EQ(carried.size(), std::size(kSample));
+  ASSERT_EQ(fresh.size(), std::size(kSample));
+  for (int id : kSample) {
+    const Run& c = carried.at(id);
+    const Run& f = fresh.at(id);
+    EXPECT_EQ(c.csv, f.csv) << "template " << id;
+    EXPECT_GE(f.max_q_error, 1.0) << "template " << id;
+    EXPECT_LE(c.max_q_error, 2.0 * f.max_q_error)
+        << "template " << id << ": carried " << c.max_q_error << ", fresh "
+        << f.max_q_error;
   }
 }
 
