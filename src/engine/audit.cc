@@ -1,64 +1,92 @@
 #include "engine/audit.h"
 
+#include <functional>
 #include <map>
-#include <unordered_set>
+#include <string_view>
 
+#include "engine/key_table.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
 namespace tpcds {
 namespace {
 
-struct VecValueHash {
-  size_t operator()(const std::vector<Value>& key) const {
-    size_t h = 1469598103u;
-    for (const Value& v : key) h = h * 1099511628211ULL ^ v.Hash();
-    return h;
+/// A constraint's key columns on one table, read straight from storage.
+struct KeyColumns {
+  std::vector<const StorageColumn*> cols;
+
+  /// One int-backed column: its stored word is the key itself.
+  bool exact() const { return cols.size() == 1 && !cols[0]->is_string(); }
+
+  bool AnyNull(size_t row) const {
+    for (const StorageColumn* c : cols) {
+      if (c->IsNull(row)) return true;
+    }
+    return false;
   }
-};
-struct VecValueEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].is_null() != b[i].is_null()) return false;
-      if (!a[i].is_null() && Value::Compare(a[i], b[i]) != 0) return false;
+
+  /// The row's key as one KeyTable word: the stored word of an exact key,
+  /// else a hash of the stored values that Equal must confirm.
+  int64_t Word(size_t row) const {
+    if (exact()) return cols[0]->Num(row);
+    uint64_t h = 0x9E3779B97F4A7C15ULL;
+    for (const StorageColumn* c : cols) {
+      uint64_t v = c->is_string()
+                       ? std::hash<std::string_view>()(c->Str(row))
+                       : static_cast<uint64_t>(c->Num(row));
+      h = Mix64(h ^ v);
+    }
+    return static_cast<int64_t>(h);
+  }
+
+  /// True when `row` holds the same key as row `other_row` of `other`.
+  bool Equal(size_t row, const KeyColumns& other, size_t other_row) const {
+    for (size_t i = 0; i < cols.size(); ++i) {
+      const StorageColumn& a = *cols[i];
+      const StorageColumn& b = *other.cols[i];
+      if (a.is_string() ? a.Str(row) != b.Str(other_row)
+                        : a.Num(row) != b.Num(other_row)) {
+        return false;
+      }
     }
     return true;
   }
 };
-using KeySet =
-    std::unordered_set<std::vector<Value>, VecValueHash, VecValueEq>;
 
-Result<std::vector<int>> ResolveColumns(
-    const EngineTable& table, const std::vector<std::string>& names) {
-  std::vector<int> cols;
-  cols.reserve(names.size());
+Result<KeyColumns> ResolveKey(const EngineTable& table,
+                              const std::vector<std::string>& names) {
+  if (static_cast<uint64_t>(table.num_rows()) >= KeyTable::kNone) {
+    return Status::Internal("audit: too many rows to index: " + table.name());
+  }
+  KeyColumns key;
   for (const std::string& name : names) {
     int idx = table.ColumnIndex(name);
     if (idx < 0) {
       return Status::Internal("audit: missing column " + table.name() +
                               "." + name);
     }
-    cols.push_back(idx);
+    key.cols.push_back(&table.column(static_cast<size_t>(idx)));
   }
-  return cols;
-}
-
-std::vector<Value> KeyAt(const EngineTable& table,
-                         const std::vector<int>& cols, int64_t row) {
-  std::vector<Value> key;
-  key.reserve(cols.size());
-  for (int c : cols) key.push_back(table.GetValue(row, c));
   return key;
 }
 
-bool AnyNull(const std::vector<Value>& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
+/// A table's primary key indexed by KeyColumns::Word: a key set for an
+/// exact key, else a multimap whose chains Equal confirms.
+struct KeyIndex {
+  KeyColumns key;
+  KeyTable table;
+
+  /// True when some indexed row holds the key of `probe` at `row`.
+  bool Contains(const KeyColumns& probe, size_t row) const {
+    int64_t word = probe.Word(row);
+    if (key.exact()) return table.Contains(word);
+    for (uint32_t r = table.Find(word); r != KeyTable::kNone;
+         r = table.Next(r)) {
+      if (probe.Equal(row, key, r)) return true;
+    }
+    return false;
   }
-  return false;
-}
+};
 
 /// FNV-1a over raw bytes, seedable for chaining sections.
 uint64_t Fnv64(const void* data, size_t len,
@@ -145,45 +173,55 @@ Result<AuditReport> ValidateConstraints(Database* db, const Schema& schema) {
 Result<AuditReport> ValidateConstraints(const DataFacade& facade,
                                         const Schema& schema) {
   AuditReport report;
-  // Primary-key key sets double as FK targets; build each once.
-  std::map<std::string, KeySet> pk_sets;
+  // Primary-key indexes double as FK targets; build each once.
+  std::map<std::string, KeyIndex> pk_index;
   for (const TableDef& def : schema.tables()) {
     EngineTable* table = facade.FindTable(def.name);
     if (table == nullptr) {
       return Status::NotFound("audit: table not loaded: " + def.name);
     }
-    TPCDS_ASSIGN_OR_RETURN(std::vector<int> cols,
-                           ResolveColumns(*table, def.primary_key));
+    TPCDS_ASSIGN_OR_RETURN(KeyColumns key,
+                           ResolveKey(*table, def.primary_key));
     ConstraintCheck check;
     check.constraint =
         def.name + " PK(" + Join(def.primary_key, ",") + ") unique";
-    KeySet keys;
-    keys.reserve(static_cast<size_t>(table->num_rows()));
-    for (int64_t r = 0; r < table->num_rows(); ++r) {
-      std::vector<Value> key = KeyAt(*table, cols, r);
+    size_t n = static_cast<size_t>(table->num_rows());
+    KeyIndex index{key, KeyTable(n, key.exact() ? 0 : n)};
+    for (size_t r = 0; r < n; ++r) {
       ++check.rows_checked;
-      if (AnyNull(key) || !keys.insert(std::move(key)).second) {
+      if (key.AnyNull(r) || index.Contains(key, r)) {
         ++check.violations;
+        continue;
       }
+      index.table.Insert(key.Word(r), static_cast<uint32_t>(r));
     }
-    pk_sets[def.name] = std::move(keys);
+    pk_index.emplace(def.name, std::move(index));
     report.checks.push_back(std::move(check));
   }
-  // Foreign keys: every non-NULL key must exist in the referenced PK set.
+  // Foreign keys: every non-NULL key must exist in the referenced PK index.
   for (const TableDef& def : schema.tables()) {
     EngineTable* table = facade.FindTable(def.name);
     for (const ForeignKeyDef& fk : def.foreign_keys) {
-      TPCDS_ASSIGN_OR_RETURN(std::vector<int> cols,
-                             ResolveColumns(*table, fk.columns));
-      const KeySet& target = pk_sets.at(fk.referenced_table);
+      TPCDS_ASSIGN_OR_RETURN(KeyColumns key, ResolveKey(*table, fk.columns));
+      const KeyIndex& target = pk_index.at(fk.referenced_table);
+      // Stored words compare like values only between equal types.
+      bool comparable = key.cols.size() == target.key.cols.size();
+      for (size_t i = 0; comparable && i < key.cols.size(); ++i) {
+        comparable = key.cols[i]->type() == target.key.cols[i]->type();
+      }
+      if (!comparable) {
+        return Status::Internal("audit: FK " + def.name + "(" +
+                                Join(fk.columns, ",") +
+                                ") is not stored like the key it references");
+      }
       ConstraintCheck check;
       check.constraint = def.name + "(" + Join(fk.columns, ",") + ") -> " +
                          fk.referenced_table;
-      for (int64_t r = 0; r < table->num_rows(); ++r) {
-        std::vector<Value> key = KeyAt(*table, cols, r);
+      size_t n = static_cast<size_t>(table->num_rows());
+      for (size_t r = 0; r < n; ++r) {
         ++check.rows_checked;
-        if (AnyNull(key)) continue;  // SQL FK semantics: NULLs pass
-        if (target.find(key) == target.end()) ++check.violations;
+        if (key.AnyNull(r)) continue;  // SQL FK semantics: NULLs pass
+        if (!target.Contains(key, r)) ++check.violations;
       }
       report.checks.push_back(std::move(check));
     }

@@ -235,12 +235,19 @@ Result<Manifest> ReadManifest(const std::string& dir) {
   Manifest manifest;
   TPCDS_ASSIGN_OR_RETURN(manifest.generation, reader.ReadU64());
   TPCDS_ASSIGN_OR_RETURN(uint32_t table_count, reader.ReadU32());
+  // A table entry is at least its name's length, the row count, the column
+  // count and the file CRC; a column entry its name's length and the type.
+  constexpr size_t kMinTableBytes = 4 + 8 + 4 + 4;
+  constexpr size_t kMinColumnBytes = 4 + 1;
+  TPCDS_RETURN_NOT_OK(
+      reader.NeedItems(table_count, kMinTableBytes, "tables"));
   manifest.tables.reserve(table_count);
   for (uint32_t t = 0; t < table_count; ++t) {
     ManifestTable entry;
     TPCDS_ASSIGN_OR_RETURN(entry.name, reader.ReadLenString());
     TPCDS_ASSIGN_OR_RETURN(entry.rows, reader.ReadU64());
     TPCDS_ASSIGN_OR_RETURN(uint32_t cols, reader.ReadU32());
+    TPCDS_RETURN_NOT_OK(reader.NeedItems(cols, kMinColumnBytes, "columns"));
     entry.columns.reserve(cols);
     for (uint32_t c = 0; c < cols; ++c) {
       EngineTable::ColumnMeta meta;

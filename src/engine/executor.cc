@@ -16,6 +16,7 @@
 #include "engine/data_facade.h"
 #include "engine/expr_eval.h"
 #include "engine/governor.h"
+#include "engine/key_table.h"
 #include "engine/table.h"
 #include "util/fault.h"
 #include "util/threadpool.h"
@@ -54,6 +55,58 @@ struct ValueEq {
   }
 };
 using ValueSet = std::unordered_set<Value, ValueHasher, ValueEq>;
+
+// ------------------------------------------------------------ typed keys
+
+/// True for the Value kinds stored as one int64 word: ints, decimals
+/// (cents) and dates (JDN), the same word their storage column holds.
+bool IsWordKind(Value::Kind kind) {
+  return kind == Value::Kind::kInt || kind == Value::Kind::kDecimal ||
+         kind == Value::Kind::kDate;
+}
+
+/// The word of a Value of a word kind.
+int64_t WordOf(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kDecimal: return v.AsDecimal().cents();
+    case Value::Kind::kDate: return v.AsDate().jdn();
+    default: return v.AsInt();
+  }
+}
+
+/// The Value a word of `kind` stands for; inverse of WordOf.
+Value WordValue(Value::Kind kind, int64_t word) {
+  switch (kind) {
+    case Value::Kind::kDecimal: return Value::Dec(Decimal::FromCents(word));
+    case Value::Kind::kDate: return Value::Dt(Date(static_cast<int32_t>(word)));
+    default: return Value::Int(word);
+  }
+}
+
+/// The storage column type whose words are those of `kind`.
+ColumnType WordColumnType(Value::Kind kind) {
+  switch (kind) {
+    case Value::Kind::kDecimal: return ColumnType::kDecimal;
+    case Value::Kind::kDate: return ColumnType::kDate;
+    default: return ColumnType::kInteger;
+  }
+}
+
+/// Maps a probe key onto the words of a typed build side whose keys are
+/// all of `kind` (kNull: no keys at all), with the coercions scan pushdown
+/// uses, which report a double key kUnsupported. A string key is
+/// kUnsupported too: the boxed table matches only keys of equal
+/// Value::Hash, and a string does not hash like an int, decimal or date,
+/// so such a join stays on the boxed table to answer as it always has.
+StorageEq ProbeWord(Value::Kind kind, const Value& v, int64_t* word) {
+  if (v.is_null() || kind == Value::Kind::kNull) return StorageEq::kNoMatch;
+  if (v.kind() == kind) {
+    *word = WordOf(v);
+    return StorageEq::kExact;
+  }
+  if (!IsWordKind(v.kind())) return StorageEq::kUnsupported;
+  return StorageValueForEquality(WordColumnType(kind), v, word);
+}
 
 // ------------------------------------------------------------ aggregates
 
@@ -729,24 +782,32 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   /// Fills `pd` from the distinct build/dim key values: Bloom hashes plus
-  /// a min/max range for int-backed columns. Returns false (pushdown
-  /// abandoned) when any key's coercion onto the column's raw storage
-  /// can't be reproduced exactly.
-  static bool BuildKeyPushdown(const ValueSet& keys, const StorageColumn& col,
-                               BloomFilter* bloom, ScanPushdown* pd) {
+  /// a min/max range for int-backed columns. `for_each_key(admit)` calls
+  /// admit(const Value&) once per key. Returns false (pushdown abandoned)
+  /// when any key's coercion onto the column's raw storage can't be
+  /// reproduced exactly.
+  template <typename ForEachKey>
+  static bool BuildKeyPushdown(const ForEachKey& for_each_key,
+                               const StorageColumn& col, BloomFilter* bloom,
+                               ScanPushdown* pd) {
     pd->is_string = col.is_string();
     pd->bloom = bloom;
-    if (pd->is_string) {
-      for (const Value& k : keys) {
-        if (k.kind() != Value::Kind::kString) return false;
-        bloom->Add(std::hash<std::string>()(k.AsString()));
-      }
-      return true;
+    if (!pd->is_string) {
+      pd->has_range = true;
+      pd->lo = INT64_MAX;  // empty until a key maps: rejects every row
+      pd->hi = INT64_MIN;
     }
-    pd->has_range = true;
-    pd->lo = INT64_MAX;  // empty until a key maps: rejects every row
-    pd->hi = INT64_MIN;
-    for (const Value& k : keys) {
+    bool ok = true;
+    for_each_key([&](const Value& k) {
+      if (!ok) return;
+      if (pd->is_string) {
+        if (k.kind() != Value::Kind::kString) {
+          ok = false;
+        } else {
+          bloom->Add(std::hash<std::string>()(k.AsString()));
+        }
+        return;
+      }
       int64_t raw = 0;
       switch (StorageValueForEquality(col.type(), k, &raw)) {
         case StorageEq::kExact:
@@ -757,10 +818,11 @@ class PlanExecutor : public SubqueryEvaluator {
         case StorageEq::kNoMatch:
           break;  // this key matches no stored value; nothing to admit
         case StorageEq::kUnsupported:
-          return false;
+          ok = false;
+          break;
       }
-    }
-    return true;
+    });
+    return ok;
   }
 
   Result<std::shared_ptr<RowSet>> ExecCteRef(const PlanNode& node) {
@@ -785,6 +847,106 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   // ---- joins ----------------------------------------------------------
+
+  /// One join key, read per row: straight out of the row when the key is
+  /// a bare column of the row's schema, else through the bound expression.
+  struct KeyReader {
+    int slot = -1;
+    std::unique_ptr<BoundExpr> expr;
+
+    const Value& Read(const std::vector<Value>& row, Value* scratch) const {
+      if (slot >= 0) return row[static_cast<size_t>(slot)];
+      *scratch = expr->Eval(row);
+      return *scratch;
+    }
+  };
+
+  Result<KeyReader> BindKey(const Expr& key, const RowSet& scope) {
+    KeyReader reader;
+    if (key.tag == Expr::Tag::kColumnRef) {
+      TPCDS_ASSIGN_OR_RETURN(reader.slot,
+                             scope.Resolve(key.qualifier, key.name));
+    } else {
+      TPCDS_ASSIGN_OR_RETURN(reader.expr, BindExpr(key, scope, this));
+    }
+    return reader;
+  }
+
+  /// A join's build side indexed on raw words: every non-NULL key is a
+  /// Value of the one word kind `kind` (kNull when there is no key).
+  struct TypedKeys {
+    Value::Kind kind = Value::Kind::kNull;
+    KeyTable table;
+  };
+
+  /// The vectorized path's build side: indexes the rows of `rs` by `key`
+  /// in a KeyTable, a multimap over row indices when `chain` is set (hash
+  /// join) or a key set (semi-join). NULL keys are left out; they never
+  /// match. The table's bytes are charged to the governor before it is
+  /// built. Returns nullopt when a key is not of a word kind or the keys
+  /// mix kinds; the caller then keeps boxed keys.
+  std::optional<TypedKeys> BuildTypedKeys(const KeyReader& key,
+                                          const RowSet& rs, bool chain) {
+    size_t n = rs.rows.size();
+    if (n >= KeyTable::kNone) return std::nullopt;
+    Value scratch;
+    size_t r = 0;
+    while (r < n && key.Read(rs.rows[r], &scratch).is_null()) ++r;
+    Value::Kind kind =
+        r < n ? key.Read(rs.rows[r], &scratch).kind() : Value::Kind::kNull;
+    if (r < n && !IsWordKind(kind)) return std::nullopt;
+    size_t chained = chain ? n : 0;
+    if (track_) governor_->Reserve(KeyTable::BytesFor(n, chained));
+    TypedKeys out{kind, KeyTable(n, chained)};
+    for (; r < n; ++r) {
+      const Value& v = key.Read(rs.rows[r], &scratch);
+      if (v.is_null()) continue;
+      if (v.kind() != kind) return std::nullopt;
+      out.table.Insert(WordOf(v), static_cast<uint32_t>(r));
+    }
+    return out;
+  }
+
+  /// Looks each row of `rs` up in a typed build side by `key`: (*first)[r]
+  /// becomes the first build row whose key equals row r's, else
+  /// KeyTable::kNone. Returns false when some key maps onto no word
+  /// (ProbeWord's kUnsupported); the caller then falls back to boxed keys.
+  bool ProbeTypedKeys(const TypedKeys& keys, const KeyReader& key,
+                      const RowSet& rs, std::vector<uint32_t>* first) {
+    size_t n = rs.rows.size();
+    first->assign(n, KeyTable::kNone);
+    std::atomic<bool> unsupported{false};
+    ForEachMorsel(n, [&](size_t b, size_t e, size_t) {
+      Value scratch;
+      for (size_t r = b; r < e; ++r) {
+        int64_t word = 0;
+        switch (ProbeWord(keys.kind, key.Read(rs.rows[r], &scratch), &word)) {
+          case StorageEq::kExact:
+            (*first)[r] = keys.table.Find(word);
+            break;
+          case StorageEq::kNoMatch:
+            break;
+          case StorageEq::kUnsupported:
+            unsupported.store(true, std::memory_order_relaxed);
+            return;
+        }
+      }
+    });
+    return !unsupported.load();
+  }
+
+  /// BuildKeyPushdown's key visitors over boxed and typed key sets.
+  static auto BoxedKeysOf(const ValueSet& keys) {
+    return [&keys](const auto& admit) {
+      for (const Value& k : keys) admit(k);
+    };
+  }
+  static auto TypedKeysOf(const TypedKeys& keys) {
+    return [&keys](const auto& admit) {
+      keys.table.ForEachKey(
+          [&](int64_t word) { admit(WordValue(keys.kind, word)); });
+    };
+  }
 
   /// Evaluates `key_expr` over every row of `rs` (morsel-parallel) and
   /// returns the distinct non-NULL key values.
@@ -811,11 +973,11 @@ class PlanExecutor : public SubqueryEvaluator {
     // most non-qualifying fact rows are never materialised. The exact
     // key-set check below still runs over whatever the scan produced, so
     // results are byte-identical to the unpushed order.
+    const bool vec = options_.vectorized_execution;
     const PlanNode* target = nullptr;
     int pd_col = -1;
     EngineTable* pd_table = nullptr;
-    if (options_.vectorized_execution &&
-        node.fact_key->tag == Expr::Tag::kColumnRef) {
+    if (vec && node.fact_key->tag == Expr::Tag::kColumnRef) {
       target = PushdownTargetScan(node.children[0].get());
       if (target != nullptr) {
         pd_col = ResolveScanStorageCol(*target, *node.fact_key);
@@ -825,14 +987,36 @@ class PlanExecutor : public SubqueryEvaluator {
       }
     }
 
+    // The dimension's distinct keys: a typed key set on the vectorized
+    // path when the keys allow one, else boxed values.
     std::shared_ptr<RowSet> fact, dim;
+    std::optional<TypedKeys> typed;
     ValueSet keys;
+    auto collect = [&]() -> Status {
+      if (vec) {
+        TPCDS_ASSIGN_OR_RETURN(KeyReader key, BindKey(*node.dim_key, *dim));
+        typed = BuildTypedKeys(key, *dim, /*chain=*/false);
+        if (typed) return Status::OK();
+      }
+      TPCDS_ASSIGN_OR_RETURN(keys, CollectKeys(*node.dim_key, *dim));
+      return Status::OK();
+    };
     if (target != nullptr) {
       TPCDS_ASSIGN_OR_RETURN(dim, Exec(node.children[1]));
-      TPCDS_ASSIGN_OR_RETURN(keys, CollectKeys(*node.dim_key, *dim));
-      BloomFilter bloom(keys.size());
+      TPCDS_RETURN_NOT_OK(collect());
+      int64_t distinct =
+          static_cast<int64_t>(typed ? typed->table.size() : keys.size());
+      BloomFilter bloom(static_cast<size_t>(distinct));
       ScanPushdown pd;
       pd.col = pd_col;
+      auto build = [&] {
+        const StorageColumn& col =
+            pd_table->column(static_cast<size_t>(pd_col));
+        if (typed) {
+          return BuildKeyPushdown(TypedKeysOf(*typed), col, &bloom, &pd);
+        }
+        return BuildKeyPushdown(BoxedKeysOf(keys), col, &bloom, &pd);
+      };
       // Only push a selective key set; a reduction whose key set rivals
       // the fact table in size rejects almost nothing at the scan.
       // Cost-based gating wants the pushed key range, so it builds the
@@ -841,18 +1025,10 @@ class PlanExecutor : public SubqueryEvaluator {
       bool registered;
       if (options_.cost_based) {
         registered =
-            BuildKeyPushdown(
-                keys, pd_table->column(static_cast<size_t>(pd_col)), &bloom,
-                &pd) &&
-            ShouldPushKeys(static_cast<int64_t>(keys.size()), pd_table,
-                           pd_col, &pd);
+            build() && ShouldPushKeys(distinct, pd_table, pd_col, &pd);
       } else {
         registered =
-            ShouldPushKeys(static_cast<int64_t>(keys.size()), pd_table,
-                           pd_col, nullptr) &&
-            BuildKeyPushdown(
-                keys, pd_table->column(static_cast<size_t>(pd_col)), &bloom,
-                &pd);
+            ShouldPushKeys(distinct, pd_table, pd_col, nullptr) && build();
       }
       if (registered) {
         pushdowns_[target].push_back(pd);
@@ -868,18 +1044,36 @@ class PlanExecutor : public SubqueryEvaluator {
     } else {
       TPCDS_ASSIGN_OR_RETURN(fact, ExecOwned(node.children[0]));
       TPCDS_ASSIGN_OR_RETURN(dim, Exec(node.children[1]));
-      TPCDS_ASSIGN_OR_RETURN(keys, CollectKeys(*node.dim_key, *dim));
+      TPCDS_RETURN_NOT_OK(collect());
     }
-    TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> fact_key,
-                           BindExpr(*node.fact_key, *fact, this));
 
+    // hit[r] != KeyTable::kNone keeps fact row r.
+    std::vector<uint32_t> hit;
+    if (typed) {
+      TPCDS_ASSIGN_OR_RETURN(KeyReader fact_key,
+                             BindKey(*node.fact_key, *fact));
+      if (!ProbeTypedKeys(*typed, fact_key, *fact, &hit)) {
+        typed.reset();
+        TPCDS_ASSIGN_OR_RETURN(keys, CollectKeys(*node.dim_key, *dim));
+      }
+    }
     size_t before = fact->rows.size();
+    if (!typed) {
+      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> fact_key,
+                             BindExpr(*node.fact_key, *fact, this));
+      hit.assign(before, KeyTable::kNone);
+      ForEachMorsel(before, [&](size_t b, size_t e, size_t) {
+        for (size_t r = b; r < e; ++r) {
+          Value v = fact_key->Eval(fact->rows[r]);
+          if (!v.is_null() && keys.find(v) != keys.end()) hit[r] = 0;
+        }
+      });
+    }
     std::vector<RowList> bufs(MorselCount(before));
     ForEachMorsel(before, [&](size_t b, size_t e, size_t m) {
       RowList& buf = bufs[m];
       for (size_t r = b; r < e; ++r) {
-        Value v = fact_key->Eval(fact->rows[r]);
-        if (!v.is_null() && keys.find(v) != keys.end()) {
+        if (hit[r] != KeyTable::kNone) {
           buf.push_back(std::move(fact->rows[r]));
         }
       }
@@ -891,6 +1085,132 @@ class PlanExecutor : public SubqueryEvaluator {
           static_cast<int64_t>(before - fact->rows.size());
     }
     return fact;
+  }
+
+  /// A build row's boxed composite key, hashed once.
+  struct BuildKey {
+    std::vector<Value> key;
+    size_t hash = 0;
+    bool has_null = false;
+  };
+
+  /// Evaluates every build row's boxed key (morsel-parallel). The key
+  /// bytes are charged to the governor as they materialise: they are what
+  /// a large build side costs, so a budget violation fires mid-build.
+  Result<std::vector<BuildKey>> BoxedBuildKeys(const PlanNode& node,
+                                               const RowSet& right) {
+    std::vector<std::unique_ptr<BoundExpr>> rkeys;
+    rkeys.reserve(node.equi.size());
+    for (const PlanEquiKey& pair : node.equi) {
+      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> r,
+                             BindExpr(*pair.right, right, this));
+      rkeys.push_back(std::move(r));
+    }
+    size_t nr = right.rows.size();
+    std::vector<BuildKey> bkeys(nr);
+    ForEachMorsel(nr, [&](size_t b, size_t e, size_t) {
+      int64_t key_bytes = 0;
+      for (size_t r = b; r < e; ++r) {
+        BuildKey& bk = bkeys[r];
+        bk.key.reserve(rkeys.size());
+        for (const auto& k : rkeys) {
+          Value v = k->Eval(right.rows[r]);
+          bk.has_null |= v.is_null();
+          bk.key.push_back(std::move(v));
+        }
+        if (!bk.has_null) bk.hash = VecValueHash()(bk.key);
+        if (track_) key_bytes += ApproxRowBytes(bk.key);
+      }
+      if (track_) governor_->Reserve(key_bytes);
+    });
+    return bkeys;
+  }
+
+  /// The boxed table, for multi-column, string and mixed-kind keys and for
+  /// the row-at-a-time reference path. Build rows are assigned to a fixed
+  /// number of partitions by key hash (serially, cheap), then each
+  /// partition's unordered_map from boxed key to its first and last build
+  /// row is built in parallel. Fills `first` as ProbeTypedKeys does, and
+  /// `next` with each build row's successor under its key, as KeyTable
+  /// chains them. On the vectorized path a join-level Bloom filter over
+  /// the build hashes rejects unmatchable probe keys before the table
+  /// lookup; returns the number of probe rows it rejected.
+  Result<int64_t> ProbeBoxedKeys(const PlanNode& node, const RowSet& left,
+                                 std::vector<BuildKey>* bkeys,
+                                 std::vector<uint32_t>* first,
+                                 std::vector<uint32_t>* next) {
+    std::vector<std::unique_ptr<BoundExpr>> lkeys;
+    lkeys.reserve(node.equi.size());
+    for (const PlanEquiKey& pair : node.equi) {
+      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> l,
+                             BindExpr(*pair.left, left, this));
+      lkeys.push_back(std::move(l));
+    }
+    size_t nr = bkeys->size();
+    size_t nl = left.rows.size();
+    // Only worthwhile when the build side is smaller than the probe side:
+    // each build row costs one insert, so with fewer probe rows than build
+    // rows the filter can never pay for itself.
+    std::optional<BloomFilter> bloom;
+    if (options_.vectorized_execution && nr < nl) bloom.emplace(nr);
+    std::vector<std::vector<uint32_t>> part_rows(kJoinPartitions);
+    for (size_t r = 0; r < nr; ++r) {
+      const BuildKey& bk = (*bkeys)[r];
+      if (bk.has_null) continue;  // NULL keys never match
+      part_rows[bk.hash % kJoinPartitions].push_back(static_cast<uint32_t>(r));
+      if (bloom) bloom->Add(bk.hash);
+    }
+    struct Chain {
+      uint32_t head;
+      uint32_t tail;
+    };
+    using JoinTable = std::unordered_map<std::vector<Value>, Chain,
+                                         VecValueHash, VecValueEq>;
+    std::vector<JoinTable> tables(kJoinPartitions);
+    next->assign(nr, KeyTable::kNone);
+    // Rows enter a partition in ascending order, so every chain ascends;
+    // a row sits in one partition, so partitions write disjoint entries.
+    ParallelFor(kJoinPartitions, [&](size_t p) {
+      JoinTable& t = tables[p];
+      t.reserve(part_rows[p].size());
+      for (uint32_t r : part_rows[p]) {
+        auto [it, fresh] =
+            t.try_emplace(std::move((*bkeys)[r].key), Chain{r, r});
+        if (!fresh) {
+          (*next)[it->second.tail] = r;
+          it->second.tail = r;
+        }
+      }
+    });
+
+    first->assign(nl, KeyTable::kNone);
+    std::atomic<int64_t> rejects{0};
+    ForEachMorsel(nl, [&](size_t b, size_t e, size_t) {
+      std::vector<Value> key;
+      int64_t morsel_rejects = 0;
+      for (size_t lr = b; lr < e; ++lr) {
+        key.clear();
+        bool has_null = false;
+        for (const auto& k : lkeys) {
+          Value v = k->Eval(left.rows[lr]);
+          has_null |= v.is_null();
+          key.push_back(std::move(v));
+        }
+        if (has_null) continue;
+        size_t h = VecValueHash()(key);
+        if (bloom && !bloom->MayContain(h)) {
+          ++morsel_rejects;  // definitely absent from the build side
+          continue;
+        }
+        const JoinTable& t = tables[h % kJoinPartitions];
+        auto it = t.find(key);
+        if (it != t.end()) (*first)[lr] = it->second.head;
+      }
+      if (morsel_rejects > 0) {
+        rejects.fetch_add(morsel_rejects, std::memory_order_relaxed);
+      }
+    });
+    return rejects.load();
   }
 
   Result<std::shared_ptr<RowSet>> ExecHashJoin(const PlanNode& node) {
@@ -925,43 +1245,20 @@ class PlanExecutor : public SubqueryEvaluator {
     }
     TPCDS_ASSIGN_OR_RETURN(right, Exec(node.children[1]));
 
-    std::vector<std::unique_ptr<BoundExpr>> rkeys;
-    rkeys.reserve(node.equi.size());
-    for (const PlanEquiKey& pair : node.equi) {
-      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> r,
-                             BindExpr(*pair.right, *right, this));
-      rkeys.push_back(std::move(r));
-    }
-
     // Build-side keys, computed before the probe side runs so a key
-    // pushdown can be registered on the probe scan first. Shared by the
-    // pushdown, the join-level Bloom filter, and the hash-table build.
+    // pushdown can be registered on the probe scan first. On the
+    // vectorized path a single key whose values are all of one word kind
+    // builds the typed table; any other key is boxed.
     size_t nr = right->rows.size();
-    struct BuildKey {
-      std::vector<Value> key;
-      size_t hash = 0;
-      bool has_null = false;
-    };
+    std::optional<TypedKeys> typed;
+    if (vec && node.equi.size() == 1) {
+      TPCDS_ASSIGN_OR_RETURN(KeyReader key,
+                             BindKey(*node.equi[0].right, *right));
+      typed = BuildTypedKeys(key, *right, /*chain=*/true);
+    }
     std::vector<BuildKey> bkeys;
-    if (!node.equi.empty()) {
-      bkeys.resize(nr);
-      ForEachMorsel(nr, [&](size_t b, size_t e, size_t) {
-        int64_t key_bytes = 0;
-        for (size_t r = b; r < e; ++r) {
-          BuildKey& bk = bkeys[r];
-          bk.key.reserve(rkeys.size());
-          for (const auto& k : rkeys) {
-            Value v = k->Eval(right->rows[r]);
-            bk.has_null |= v.is_null();
-            bk.key.push_back(std::move(v));
-          }
-          if (!bk.has_null) bk.hash = VecValueHash()(bk.key);
-          if (track_) key_bytes += ApproxRowBytes(bk.key);
-        }
-        // Hash-build memory: the materialised build keys are what a large
-        // build side costs, so a budget violation fires mid-build.
-        if (track_) governor_->Reserve(key_bytes);
-      });
+    if (!typed && !node.equi.empty()) {
+      TPCDS_ASSIGN_OR_RETURN(bkeys, BoxedBuildKeys(node, *right));
     }
 
     if (target != nullptr) {
@@ -993,22 +1290,32 @@ class PlanExecutor : public SubqueryEvaluator {
           (ShouldPushKeys(build_keys_hint, pd_table, pd_col, nullptr) ||
            (options_.cost_based &&
             build_keys_hint * 8 <= pd_table->num_rows()))) {
-        ValueSet comp;
-        comp.reserve(nr);
-        for (const BuildKey& bk : bkeys) {
-          // A tripped governor leaves partially built keys behind (the
-          // query errors out after the operator); skip those, don't index
-          // them.
-          if (!bk.has_null && bk.key.size() > pd_key) {
-            comp.insert(bk.key[pd_key]);
+        const StorageColumn& col =
+            pd_table->column(static_cast<size_t>(pd_col));
+        size_t distinct = 0;
+        if (typed) {
+          distinct = typed->table.size();
+          pushed_bloom = BloomFilter(distinct);
+          registered = BuildKeyPushdown(TypedKeysOf(*typed), col,
+                                        &pushed_bloom, &pd);
+        } else {
+          ValueSet comp;
+          comp.reserve(nr);
+          for (const BuildKey& bk : bkeys) {
+            // A tripped governor leaves partially built keys behind (the
+            // query errors out after the operator); skip those, don't
+            // index them.
+            if (!bk.has_null && bk.key.size() > pd_key) {
+              comp.insert(bk.key[pd_key]);
+            }
           }
+          distinct = comp.size();
+          pushed_bloom = BloomFilter(distinct);
+          registered =
+              BuildKeyPushdown(BoxedKeysOf(comp), col, &pushed_bloom, &pd);
         }
-        pushed_bloom = BloomFilter(comp.size());
-        registered = BuildKeyPushdown(
-            comp, pd_table->column(static_cast<size_t>(pd_col)), &pushed_bloom,
-            &pd);
         if (registered && options_.cost_based) {
-          registered = ShouldPushKeys(static_cast<int64_t>(comp.size()),
+          registered = ShouldPushKeys(static_cast<int64_t>(distinct),
                                       pd_table, pd_col, &pd);
         }
       }
@@ -1024,14 +1331,6 @@ class PlanExecutor : public SubqueryEvaluator {
 
     auto out = std::make_shared<RowSet>();
     out->cols = node.schema;
-
-    std::vector<std::unique_ptr<BoundExpr>> lkeys;
-    lkeys.reserve(node.equi.size());
-    for (const PlanEquiKey& pair : node.equi) {
-      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> l,
-                             BindExpr(*pair.left, *left, this));
-      lkeys.push_back(std::move(l));
-    }
     RowSet combined_scope;
     combined_scope.cols = node.schema;
     TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> residual,
@@ -1051,10 +1350,16 @@ class PlanExecutor : public SubqueryEvaluator {
       buf->push_back(std::move(combined));
       return true;
     };
+    // A LEFT JOIN's unmatched row: lrow padded with NULLs.
+    auto emit_unmatched = [&](const std::vector<Value>& lrow, RowList* buf) {
+      std::vector<Value> combined = lrow;
+      combined.resize(out->cols.size());
+      buf->push_back(std::move(combined));
+    };
 
     size_t nl = left->rows.size();
     std::vector<RowList> bufs(MorselCount(nl));
-    std::atomic<int64_t> rejects{0};
+    int64_t rejects = 0;
     if (node.equi.empty()) {
       // Nested-loop (cross product with residual filter). This is the
       // runaway shape a bad substitution produces, so the governor is
@@ -1070,93 +1375,53 @@ class PlanExecutor : public SubqueryEvaluator {
           for (const auto& rrow : right->rows) {
             matched |= emit(lrow, rrow, &buf);
           }
-          if (node.left_outer && !matched) {
-            std::vector<Value> combined = lrow;
-            combined.resize(out->cols.size());
-            buf.push_back(std::move(combined));
-          }
+          if (node.left_outer && !matched) emit_unmatched(lrow, &buf);
           ChargeRows(buf, emitted_before);
         }
       });
     } else {
-      // Partitioned build: build-side keys were hashed in parallel above;
-      // assign rows to a fixed number of partitions serially (cheap), then
-      // build the per-partition tables in parallel. Row indices enter each
-      // match list in ascending order, so probe output is deterministic.
-      // On the vectorized path a join-level Bloom filter over the build
-      // hashes rejects unmatchable probe keys before the table lookup.
-      // Only worthwhile when the build side is smaller than the probe
-      // side: each build row costs one insert, so with fewer probe rows
-      // than build rows the filter can never pay for itself.
-      std::optional<BloomFilter> bloom;
-      if (vec && nr < nl) bloom.emplace(nr);
-      std::vector<std::vector<size_t>> part_rows(kJoinPartitions);
-      for (size_t r = 0; r < nr; ++r) {
-        if (!bkeys[r].has_null) {  // NULL keys never match
-          part_rows[bkeys[r].hash % kJoinPartitions].push_back(r);
-          if (bloom) bloom->Add(bkeys[r].hash);
+      // Probe first, emit second. first[lr] is the first build row
+      // matching probe row lr; its chain runs through ascending build rows
+      // to KeyTable::kNone, so output order is the same on either table
+      // and at any parallelism.
+      std::vector<uint32_t> first;
+      std::vector<uint32_t> next;
+      bool typed_probe = false;
+      if (typed) {
+        TPCDS_ASSIGN_OR_RETURN(KeyReader key,
+                               BindKey(*node.equi[0].left, *left));
+        typed_probe = ProbeTypedKeys(*typed, key, *left, &first);
+        if (!typed_probe) {
+          TPCDS_ASSIGN_OR_RETURN(bkeys, BoxedBuildKeys(node, *right));
         }
       }
-      using JoinTable =
-          std::unordered_map<std::vector<Value>, std::vector<size_t>,
-                             VecValueHash, VecValueEq>;
-      std::vector<JoinTable> tables(kJoinPartitions);
-      ParallelFor(kJoinPartitions, [&](size_t p) {
-        JoinTable& t = tables[p];
-        t.reserve(part_rows[p].size());
-        for (size_t r : part_rows[p]) {
-          t[std::move(bkeys[r].key)].push_back(r);
-        }
-      });
+      if (!typed_probe) {
+        TPCDS_ASSIGN_OR_RETURN(
+            rejects, ProbeBoxedKeys(node, *left, &bkeys, &first, &next));
+      }
       node.stats.vectorized = vec;
-
+      auto next_row = [&](uint32_t r) {
+        return typed_probe ? typed->table.Next(r) : next[r];
+      };
       ForEachMorsel(nl, [&](size_t b, size_t e, size_t m) {
         RowList& buf = bufs[m];
         buf.reserve(e - b);
-        std::vector<Value> key;
-        int64_t morsel_rejects = 0;
         for (size_t lr = b; lr < e; ++lr) {
           const auto& lrow = left->rows[lr];
-          key.clear();
-          key.reserve(lkeys.size());
-          bool has_null = false;
-          for (const auto& k : lkeys) {
-            Value v = k->Eval(lrow);
-            has_null |= v.is_null();
-            key.push_back(std::move(v));
-          }
           bool matched = false;
-          if (!has_null) {
-            size_t h = VecValueHash()(key);
-            if (bloom && !bloom->MayContain(h)) {
-              ++morsel_rejects;  // definitely absent from the build side
-            } else {
-              const JoinTable& t = tables[h % kJoinPartitions];
-              auto it = t.find(key);
-              if (it != t.end()) {
-                for (size_t r : it->second) {
-                  matched |= emit(lrow, right->rows[r], &buf);
-                }
-              }
-            }
+          for (uint32_t r = first[lr]; r != KeyTable::kNone; r = next_row(r)) {
+            matched |= emit(lrow, right->rows[r], &buf);
           }
-          if (node.left_outer && !matched) {
-            std::vector<Value> combined = lrow;
-            combined.resize(out->cols.size());
-            buf.push_back(std::move(combined));
-          }
-        }
-        if (morsel_rejects > 0) {
-          rejects.fetch_add(morsel_rejects, std::memory_order_relaxed);
+          if (node.left_outer && !matched) emit_unmatched(lrow, &buf);
         }
         ChargeRows(buf);
       });
     }
     ConcatMorsels(&bufs, &out->rows);
-    node.stats.bloom_rejects += rejects.load();
+    node.stats.bloom_rejects += rejects;
     if (stats_ != nullptr) {
       stats_->rows_joined += static_cast<int64_t>(out->rows.size());
-      stats_->bloom_rejects += rejects.load();
+      stats_->bloom_rejects += rejects;
     }
     return out;
   }

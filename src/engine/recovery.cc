@@ -258,6 +258,7 @@ Status ApplyRecord(Database* db, const WalRecord& record,
         return Status::DataLoss(ctx + ": arity mismatch for " + table_name);
       }
       TPCDS_ASSIGN_OR_RETURN(uint32_t k, reader.ReadU32());
+      TPCDS_RETURN_NOT_OK(reader.NeedItems(k, sizeof(uint64_t), "rows"));
       std::vector<int64_t> rows;
       rows.reserve(k);
       for (uint32_t i = 0; i < k; ++i) {

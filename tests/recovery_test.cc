@@ -23,6 +23,7 @@
 #include "maintenance/maintenance.h"
 #include "schema/schema.h"
 #include "temp_path.h"
+#include "util/bytes.h"
 #include "util/fault.h"
 #include "util/flatfile.h"
 #include "util/string_util.h"
@@ -462,6 +463,105 @@ TEST_P(CheckpointRejectionTest, RejectsAsDataLoss) {
 
 INSTANTIATE_TEST_SUITE_P(Corruptions, CheckpointRejectionTest,
                          ::testing::ValuesIn(RejectionParams()));
+
+/// A MANIFEST count that runs past the manifest's bytes. The CRC is
+/// recomputed, so only the count is wrong, and both read paths must
+/// return kDataLoss before they size anything by it.
+struct ManifestCount {
+  const char* name;
+  size_t offset;   // of the u32 count in the MANIFEST file
+  uint32_t saved;  // the count SaveSmallCheckpoint writes there
+  const char* message;
+};
+
+// MANIFEST: the 8-byte magic, the generation (u64), the table count (u32),
+// then per table its name (u32 length, then "t"), rows (u64), the column
+// count (u32) and the columns.
+const ManifestCount kManifestCounts[] = {
+    {"TableCount", 16, 1, "tables exceed"},
+    {"ColumnCount", 16 + 4 + 4 + 1 + 8, 3, "columns exceed"},
+};
+
+struct ManifestCountParam {
+  const ManifestCount* count;
+  bool attach;
+};
+
+void PrintTo(const ManifestCountParam& p, std::ostream* os) {
+  *os << p.count->name << (p.attach ? "OnAttach" : "OnLoad");
+}
+
+std::vector<ManifestCountParam> ManifestCountParams() {
+  std::vector<ManifestCountParam> params;
+  for (const ManifestCount& c : kManifestCounts) {
+    params.push_back({&c, true});
+    params.push_back({&c, false});
+  }
+  return params;
+}
+
+class ManifestCountRejectionTest
+    : public ::testing::TestWithParam<ManifestCountParam> {};
+
+TEST_P(ManifestCountRejectionTest, RejectsAsDataLoss) {
+  const ManifestCount& c = *GetParam().count;
+  const std::string dir = ProcessTempPath("manifest_count_ckpt");
+  SaveSmallCheckpoint(dir);
+  std::string manifest = ReadBytes(dir + "/MANIFEST");
+  ASSERT_GT(manifest.size(), c.offset + 4 + 4);
+  uint32_t count = 0;
+  std::memcpy(&count, manifest.data() + c.offset, 4);
+  ASSERT_EQ(count, c.saved);
+  count = 0xFFFFFFFFu;
+  std::memcpy(manifest.data() + c.offset, &count, 4);
+  const uint32_t body_crc = Crc32(manifest.data() + 8, manifest.size() - 12);
+  std::memcpy(manifest.data() + manifest.size() - 4, &body_crc, 4);
+  WriteBytes(dir + "/MANIFEST", manifest);
+
+  Database db;
+  Status st = GetParam().attach ? db.AttachCheckpoint(dir)
+                                : db.LoadCheckpoint(dir);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+  EXPECT_NE(st.message().find(c.message), std::string::npos)
+      << st.ToString();
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corruptions, ManifestCountRejectionTest,
+                         ::testing::ValuesIn(ManifestCountParams()));
+
+/// A committed kDeleteRows record whose row count runs past its payload.
+/// The writer computes the CRC, so only the count is wrong, and replay
+/// must return kDataLoss before it sizes anything by it.
+TEST(WalReplayTest, DeleteRowCountPastPayloadIsDataLoss) {
+  const std::string dir = ProcessTempPath("wal_delete_count_ckpt");
+  SaveSmallCheckpoint(dir);
+  const std::string wal_path = ProcessTempPath("wal_delete_count.wal");
+  std::remove(wal_path.c_str());
+  std::string op;
+  PutLenString(&op, "delete");
+  std::string payload;
+  PutLenString(&payload, "t");
+  PutU32(&payload, 3);            // the table's column count
+  PutU32(&payload, 0xFFFFFFFFu);  // rows to delete; no row follows
+  {
+    WalWriter wal;
+    ASSERT_TRUE(wal.Open(wal_path).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kOpBegin, op).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kDeleteRows, payload).ok());
+    ASSERT_TRUE(wal.AppendCommit(op).ok());
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  Database db;
+  Result<RecoveryReport> rec = Recover(&db, dir, wal_path);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kDataLoss)
+      << rec.status().ToString();
+  EXPECT_NE(rec.status().message().find("rows exceed"), std::string::npos)
+      << rec.status().ToString();
+  std::remove(wal_path.c_str());
+  fs::remove_all(dir);
+}
 
 TEST(WalTest, RoundTripPreservesRecordsAndLsns) {
   std::string path = ProcessTempPath("wal_roundtrip.wal");
