@@ -16,15 +16,6 @@ cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
-echo "== cost-based differential sweep"
-# Byte-identity oracle for the cost-based planner: the same 17-template
-# sample re-runs with cost_based off and on, at intra-query parallelism
-# 1 and 4 — every combination must produce byte-identical CSVs, so join
-# reordering, star-transform ordering and pushdown gating can never
-# change an answer, only its speed.
-"$BUILD_DIR/tests/engine_differential_test" \
-  --gtest_filter='CostBasedDifferentialTest.*'
-
 echo "== benchmark self-test"
 # Builds the SF 0.1 benchmark (tpcbench/) against src/ and runs its helper
 # tests, so an engine API change that breaks the benchmark fails here.

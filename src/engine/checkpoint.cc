@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/stats.h"
 #include "util/bytes.h"
 #include "util/fault.h"
 #include "util/mmap_file.h"
@@ -28,11 +27,6 @@ static_assert(std::endian::native == std::endian::little,
 constexpr char kTableMagic[8] = {'T', 'P', 'C', 'D', 'S', 'T', 'B', '3'};
 constexpr char kManifestMagic[8] = {'T', 'P', 'C', 'D', 'S', 'C', 'K', '2'};
 constexpr const char* kManifestName = "MANIFEST";
-// Optional statistics sidecar (engine/stats.h): per-table NDV sketches,
-// histograms and min/max, so a restored or attached checkpoint starts with
-// warm optimizer statistics instead of re-scanning every table.
-constexpr char kStatsMagic[8] = {'T', 'P', 'C', 'D', 'S', 'S', 'T', '1'};
-constexpr const char* kStatsName = "STATS";
 
 constexpr size_t kSectionAlign = 64;
 constexpr size_t kHeaderSize = 8 + 4 + 8 + 4;  // magic, cols, rows, dir crc
@@ -430,72 +424,6 @@ Status AttachTableFile(EngineTable* table, const ManifestTable& entry,
 using TableFileLoader = Status (*)(EngineTable*, const ManifestTable&,
                                    const std::string&);
 
-/// Writes the statistics sidecar: every table whose stats were collected
-/// from its current rows serialises under its name. Stats carried across
-/// maintenance with rows changed since their analysis are left out: the
-/// sidecar has no field for that count, so a reload would take them as
-/// fresh; such a table analyses lazily after the reload instead. Always
-/// written — an empty sidecar overwrites any stale one left in a reused
-/// directory.
-Status WriteStatsFile(const Database& db, const std::string& dir) {
-  std::string body;
-  std::vector<std::pair<std::string, std::shared_ptr<const TableStats>>>
-      entries;
-  for (const std::string& name : db.TableNames()) {
-    int64_t rows_changed = 0;
-    std::shared_ptr<const TableStats> stats =
-        db.FindTable(name)->ComputedStats(&rows_changed);
-    if (stats != nullptr && rows_changed == 0) {
-      entries.emplace_back(name, std::move(stats));
-    }
-  }
-  PutU32(&body, static_cast<uint32_t>(entries.size()));
-  for (const auto& [name, stats] : entries) {
-    PutLenString(&body, name);
-    SerializeTableStats(*stats, &body);
-  }
-  std::string file(kStatsMagic, sizeof(kStatsMagic));
-  file.append(body);
-  PutU32(&file, Crc32(body.data(), body.size()));
-  return WriteFileAtomically(dir + "/" + kStatsName, file);
-}
-
-/// Restores the statistics sidecar when present. The sidecar is a cache:
-/// a missing file is fine (stats recompute lazily) and entries whose
-/// table, row count or column count no longer match are skipped; but a
-/// present-yet-corrupt file is data loss, like every other durable file.
-Status LoadStatsFile(Database* db, const std::string& dir) {
-  Result<std::string> data = ReadWholeFile(dir + "/" + kStatsName);
-  if (!data.ok()) {
-    return data.status().code() == StatusCode::kNotFound ? Status::OK()
-                                                         : data.status();
-  }
-  const std::string& s = *data;
-  if (s.size() < sizeof(kStatsMagic) + 4) {
-    return Status::DataLoss("checkpoint stats: truncated");
-  }
-  const uint32_t crc = LoadU32(s.data() + s.size() - 4);
-  if (Crc32(s.data() + sizeof(kStatsMagic),
-            s.size() - sizeof(kStatsMagic) - 4) != crc) {
-    return Status::DataLoss("checkpoint stats: body crc mismatch");
-  }
-  ByteReader reader(s, "checkpoint stats");
-  TPCDS_RETURN_NOT_OK(reader.ReadMagic(kStatsMagic));
-  TPCDS_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    TPCDS_ASSIGN_OR_RETURN(std::string name, reader.ReadLenString());
-    TPCDS_ASSIGN_OR_RETURN(TableStats stats,
-                           DeserializeTableStats(&reader));
-    EngineTable* table = db->FindTable(name);
-    if (table == nullptr || stats.row_count != table->num_rows() ||
-        stats.columns.size() != table->num_columns()) {
-      continue;
-    }
-    table->InstallStats(std::make_shared<TableStats>(std::move(stats)));
-  }
-  return Status::OK();
-}
-
 Status RestoreCheckpoint(Database* db, const std::string& dir,
                          TableFileLoader load_table) {
   if (!db->TableNames().empty()) {
@@ -510,7 +438,7 @@ Status RestoreCheckpoint(Database* db, const std::string& dir,
         load_table(table, entry, dir + "/" + entry.name + ".col"));
   }
   db->set_generation(manifest.generation);
-  return LoadStatsFile(db, dir);
+  return Status::OK();
 }
 
 }  // namespace
@@ -541,7 +469,6 @@ Status SaveCheckpointTo(const Database& db, const std::string& dir) {
     }
     PutU32(&body, file_crc);
   }
-  TPCDS_RETURN_NOT_OK(WriteStatsFile(db, dir));
   TPCDS_FAULT_POINT("ckpt-manifest");
   std::string manifest(kManifestMagic, sizeof(kManifestMagic));
   manifest.append(body);

@@ -202,15 +202,6 @@ int64_t Database::TotalRows() const {
   return total;
 }
 
-size_t Database::AnalyzeStorage() {
-  size_t analyzed = 0;
-  for (auto& [name, table] : tables_) {
-    table->GetOrComputeStats();
-    ++analyzed;
-  }
-  return analyzed;
-}
-
 Result<QueryResult> Database::Query(const std::string& sql) {
   return Query(sql, default_options_, nullptr);
 }
@@ -247,13 +238,7 @@ Result<std::string> Database::Explain(const std::string& sql) {
         extra += StringPrintf(", %lld bytes touched",
                               static_cast<long long>(op.bytes_touched));
       }
-      std::string est;
-      if (op.est_rows >= 0.0) {
-        est = StringPrintf("est %lld, ",
-                           static_cast<long long>(op.est_rows));
-      }
-      out += StringPrintf(" [%s%lld -> %lld rows, %.3f ms%s]",
-                          est.c_str(),
+      out += StringPrintf(" [%lld -> %lld rows, %.3f ms%s]",
                           static_cast<long long>(op.rows_in),
                           static_cast<long long>(op.rows_out),
                           op.seconds * 1e3, extra.c_str());
@@ -272,9 +257,6 @@ Result<std::string> Database::Explain(const std::string& sql) {
       static_cast<long long>(stats.topk_kept),
       static_cast<long long>(stats.topk_seen),
       static_cast<long long>(stats.bytes_touched));
-  if (stats.max_q_error > 0.0) {
-    out += StringPrintf("  => max q-error %.2f\n", stats.max_q_error);
-  }
   return out;
 }
 

@@ -59,18 +59,8 @@ class Database {
   std::vector<std::string> TableNames() const;
   int64_t TotalRows() const;
 
-  /// Brings every table's optimizer statistics (engine/stats.h: NDV
-  /// sketches, equi-depth histograms, min/max/null counts) up to date
-  /// through EngineTable::GetOrComputeStats: a table with none, or with
-  /// more than a tenth of its rows changed since its last analysis, is
-  /// analysed in one pass; the others keep what they carry. Queries
-  /// planned with PlannerOptions::cost_based pick the stats up
-  /// immediately; tables left un-analyzed collect lazily on first use.
-  /// Returns the number of tables visited. Maintenance generations carry
-  /// stats to the next generation; SaveCheckpoint (STATS sidecar) keeps
-  /// those with no rows changed since their analysis, so
-  /// LoadCheckpoint/AttachCheckpoint restore them without re-scanning.
-  size_t AnalyzeStorage();
+  /// Does nothing: a stub for tpcbench/ like EngineTable::ComputedStats.
+  void AnalyzeStorage() {}
 
   /// Immutable snapshot of the current tables stamped with the current
   /// generation id. The facade shares table storage (shared_ptr per

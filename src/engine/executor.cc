@@ -56,6 +56,18 @@ struct ValueEq {
 };
 using ValueSet = std::unordered_set<Value, ValueHasher, ValueEq>;
 
+/// The kind of the first non-NULL value among at(0) .. at(n - 1), else
+/// kNull. A join side's keys come from one column or expression, so this
+/// tells whether they are dates or strings (see DateKey).
+template <typename At>
+Value::Kind FirstKind(size_t n, const At& at) {
+  for (size_t r = 0; r < n; ++r) {
+    Value::Kind kind = at(r).kind();
+    if (kind != Value::Kind::kNull) return kind;
+  }
+  return Value::Kind::kNull;
+}
+
 // ------------------------------------------------------------ typed keys
 
 /// True for the Value kinds stored as one int64 word: ints, decimals
@@ -94,17 +106,15 @@ ColumnType WordColumnType(Value::Kind kind) {
 
 /// Maps a probe key onto the words of a typed build side whose keys are
 /// all of `kind` (kNull: no keys at all), with the coercions scan pushdown
-/// uses, which report a double key kUnsupported. A string key is
-/// kUnsupported too: the boxed table matches only keys of equal
-/// Value::Hash, and a string does not hash like an int, decimal or date,
-/// so such a join stays on the boxed table to answer as it always has.
+/// uses: a string naming a date maps onto a date side's day number, as
+/// DateKey maps it on the boxed table. Doubles and the other strings are
+/// kUnsupported, and such a join falls back to the boxed table.
 StorageEq ProbeWord(Value::Kind kind, const Value& v, int64_t* word) {
   if (v.is_null() || kind == Value::Kind::kNull) return StorageEq::kNoMatch;
   if (v.kind() == kind) {
     *word = WordOf(v);
     return StorageEq::kExact;
   }
-  if (!IsWordKind(v.kind())) return StorageEq::kUnsupported;
   return StorageValueForEquality(WordColumnType(kind), v, word);
 }
 
@@ -748,37 +758,14 @@ class PlanExecutor : public SubqueryEvaluator {
     return scan.scan_cols[s];
   }
 
-  /// Gate for pushing `keys` distinct build/dim key values into a probe
-  /// scan of `pd_table` column `pd_col`. Cost-based planning estimates the
-  /// surviving probe fraction by NDV containment (pushed keys over the
-  /// probe column's distinct values), tightened by the histogram mass of
-  /// the pushed key range when a built pushdown is supplied — a dimension
-  /// key set often spans a narrow slice of a sparse probe column, where
-  /// containment alone under-sells the reduction (e.g. daily date keys
-  /// against weekly inventory snapshots). The push happens whenever at
-  /// least a quarter of the probe rows should be rejected; without
-  /// cost-based planning the structural keys*8 <= rows rule of thumb
-  /// applies. Either decision only affects speed: the exact join checks
-  /// run regardless.
-  bool ShouldPushKeys(int64_t keys, EngineTable* pd_table, int pd_col,
-                      const ScanPushdown* pd) const {
-    if (options_.cost_based) {
-      std::shared_ptr<const TableStats> stats = pd_table->GetOrComputeStats();
-      if (pd_col >= 0 &&
-          static_cast<size_t>(pd_col) < stats->columns.size()) {
-        const ColumnStats& cs = stats->columns[static_cast<size_t>(pd_col)];
-        if (cs.ndv > 0) {
-          double survival =
-              static_cast<double>(keys) / static_cast<double>(cs.ndv);
-          if (pd != nullptr && pd->has_range && !cs.histogram.empty()) {
-            survival = std::min(
-                survival, cs.histogram.SelectivityRange(pd->lo, pd->hi));
-          }
-          return survival <= 0.75;
-        }
-      }
-    }
-    return keys * 8 <= pd_table->num_rows();
+  /// Gate for pushing `keys` build/dim key values into a probe scan of
+  /// `table`: push only when the keys number at most an eighth of its
+  /// rows. A key set in the same order of magnitude as the probe table
+  /// rejects little, and collecting and hashing its keys is pure overhead
+  /// on the probe scan. The decision only affects speed: the exact join
+  /// checks run regardless.
+  static bool ShouldPushKeys(int64_t keys, const EngineTable& table) {
+    return keys * 8 <= table.num_rows();
   }
 
   /// Fills `pd` from the distinct build/dim key values: Bloom hashes plus
@@ -1009,27 +996,13 @@ class PlanExecutor : public SubqueryEvaluator {
       BloomFilter bloom(static_cast<size_t>(distinct));
       ScanPushdown pd;
       pd.col = pd_col;
-      auto build = [&] {
-        const StorageColumn& col =
-            pd_table->column(static_cast<size_t>(pd_col));
-        if (typed) {
-          return BuildKeyPushdown(TypedKeysOf(*typed), col, &bloom, &pd);
-        }
-        return BuildKeyPushdown(BoxedKeysOf(keys), col, &bloom, &pd);
-      };
+      const StorageColumn& col = pd_table->column(static_cast<size_t>(pd_col));
       // Only push a selective key set; a reduction whose key set rivals
       // the fact table in size rejects almost nothing at the scan.
-      // Cost-based gating wants the pushed key range, so it builds the
-      // pushdown first (O(keys), and the keys are already collected) and
-      // gates on the refined estimate; the structural rule gates up front.
-      bool registered;
-      if (options_.cost_based) {
-        registered =
-            build() && ShouldPushKeys(distinct, pd_table, pd_col, &pd);
-      } else {
-        registered =
-            ShouldPushKeys(distinct, pd_table, pd_col, nullptr) && build();
-      }
+      bool registered =
+          ShouldPushKeys(distinct, *pd_table) &&
+          (typed ? BuildKeyPushdown(TypedKeysOf(*typed), col, &bloom, &pd)
+                 : BuildKeyPushdown(BoxedKeysOf(keys), col, &bloom, &pd));
       if (registered) {
         pushdowns_[target].push_back(pd);
         node.stats.vectorized = true;
@@ -1061,10 +1034,27 @@ class PlanExecutor : public SubqueryEvaluator {
     if (!typed) {
       TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> fact_key,
                              BindExpr(*node.fact_key, *fact, this));
+      // Where dates meet strings, the string side goes through DateKey.
+      Value::Kind fact_kind = FirstKind(
+          before, [&](size_t r) { return fact_key->Eval(fact->rows[r]); });
+      Value::Kind dim_kind =
+          keys.empty() ? Value::Kind::kNull : keys.begin()->kind();
+      if (dim_kind == Value::Kind::kString &&
+          fact_kind == Value::Kind::kDate) {
+        ValueSet dates;
+        for (const Value& k : keys) {
+          Value d = DateKey(k);
+          if (!d.is_null()) dates.insert(std::move(d));
+        }
+        keys = std::move(dates);
+      }
+      const bool fact_date_keys = dim_kind == Value::Kind::kDate &&
+                                  fact_kind == Value::Kind::kString;
       hit.assign(before, KeyTable::kNone);
       ForEachMorsel(before, [&](size_t b, size_t e, size_t) {
         for (size_t r = b; r < e; ++r) {
           Value v = fact_key->Eval(fact->rows[r]);
+          if (fact_date_keys) v = DateKey(std::move(v));
           if (!v.is_null() && keys.find(v) != keys.end()) hit[r] = 0;
         }
       });
@@ -1148,6 +1138,29 @@ class PlanExecutor : public SubqueryEvaluator {
     }
     size_t nr = bkeys->size();
     size_t nl = left.rows.size();
+    // Where one side's keys are dates and the other's strings, the string
+    // side goes through DateKey: build keys here, probe keys as they are
+    // read.
+    std::vector<bool> probe_date_keys(lkeys.size(), false);
+    for (size_t i = 0; i < lkeys.size(); ++i) {
+      Value::Kind build = FirstKind(nr, [&](size_t r) {
+        const std::vector<Value>& key = (*bkeys)[r].key;
+        return i < key.size() ? key[i] : Value();
+      });
+      Value::Kind probe = FirstKind(
+          nl, [&](size_t r) { return lkeys[i]->Eval(left.rows[r]); });
+      probe_date_keys[i] =
+          build == Value::Kind::kDate && probe == Value::Kind::kString;
+      if (build != Value::Kind::kString || probe != Value::Kind::kDate) {
+        continue;
+      }
+      for (BuildKey& bk : *bkeys) {
+        if (bk.has_null || bk.key.size() <= i) continue;
+        bk.key[i] = DateKey(std::move(bk.key[i]));
+        bk.has_null = bk.key[i].is_null();
+        if (!bk.has_null) bk.hash = VecValueHash()(bk.key);
+      }
+    }
     // Only worthwhile when the build side is smaller than the probe side:
     // each build row costs one insert, so with fewer probe rows than build
     // rows the filter can never pay for itself.
@@ -1191,8 +1204,9 @@ class PlanExecutor : public SubqueryEvaluator {
       for (size_t lr = b; lr < e; ++lr) {
         key.clear();
         bool has_null = false;
-        for (const auto& k : lkeys) {
-          Value v = k->Eval(left.rows[lr]);
+        for (size_t i = 0; i < lkeys.size(); ++i) {
+          Value v = lkeys[i]->Eval(left.rows[lr]);
+          if (probe_date_keys[i]) v = DateKey(std::move(v));
           has_null |= v.is_null();
           key.push_back(std::move(v));
         }
@@ -1270,32 +1284,13 @@ class PlanExecutor : public SubqueryEvaluator {
       // same order of magnitude as the target table rejects little, and
       // collecting + hashing its keys is pure overhead on the probe scan
       // (e.g. a reversed star shape where the fact table is the build
-      // side of a dimension join).
-      const int64_t build_keys_hint = static_cast<int64_t>(nr);
-      // The hint gate runs before the O(build rows) key collection; in
-      // cost-based mode a hint that fails plain NDV containment but passes
-      // the structural rule still collects, because the refined gate below
-      // can justify the push from the keys' actual range. The collection
-      // itself must also pay: when the probe scan's own filters are
-      // estimated to leave far fewer rows than the build side holds,
-      // there is nothing left worth rejecting and the key sweep is pure
-      // overhead (e.g. a reversed star where the fact table is the build
-      // side of a heavily filtered dimension scan).
-      bool collection_pays = true;
-      if (options_.cost_based && target->stats.est_rows >= 0.0) {
-        collection_pays = static_cast<double>(nr) <=
-                          8.0 * std::max(1.0, target->stats.est_rows);
-      }
-      if (collection_pays &&
-          (ShouldPushKeys(build_keys_hint, pd_table, pd_col, nullptr) ||
-           (options_.cost_based &&
-            build_keys_hint * 8 <= pd_table->num_rows()))) {
+      // side of a dimension join). The gate counts build rows, so it runs
+      // before the O(build rows) key collection.
+      if (ShouldPushKeys(static_cast<int64_t>(nr), *pd_table)) {
         const StorageColumn& col =
             pd_table->column(static_cast<size_t>(pd_col));
-        size_t distinct = 0;
         if (typed) {
-          distinct = typed->table.size();
-          pushed_bloom = BloomFilter(distinct);
+          pushed_bloom = BloomFilter(typed->table.size());
           registered = BuildKeyPushdown(TypedKeysOf(*typed), col,
                                         &pushed_bloom, &pd);
         } else {
@@ -1309,14 +1304,9 @@ class PlanExecutor : public SubqueryEvaluator {
               comp.insert(bk.key[pd_key]);
             }
           }
-          distinct = comp.size();
-          pushed_bloom = BloomFilter(distinct);
+          pushed_bloom = BloomFilter(comp.size());
           registered =
               BuildKeyPushdown(BoxedKeysOf(comp), col, &pushed_bloom, &pd);
-        }
-        if (registered && options_.cost_based) {
-          registered = ShouldPushKeys(static_cast<int64_t>(distinct),
-                                      pd_table, pd_col, &pd);
         }
       }
       if (registered) pushdowns_[target].push_back(pd);
@@ -2261,14 +2251,6 @@ void EmitOperator(const PlanNode* node, int depth, ExecStats* stats,
   op.topk_seen = node->stats.topk_seen;
   op.topk_kept = node->stats.topk_kept;
   op.bytes_touched = node->stats.bytes_touched;
-  op.est_rows = node->stats.est_rows;
-  if (op.executed && op.est_rows >= 0.0) {
-    // +1 smoothing keeps empty outputs finite; 1.0 = perfect estimate.
-    double est = op.est_rows + 1.0;
-    double actual = static_cast<double>(op.rows_out) + 1.0;
-    stats->max_q_error =
-        std::max(stats->max_q_error, std::max(est / actual, actual / est));
-  }
   bool first_visit = visited->insert(node).second;
   if (!first_visit) op.label += " (shared)";
   stats->operators.push_back(std::move(op));

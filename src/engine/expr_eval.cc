@@ -1,6 +1,7 @@
 #include "engine/expr_eval.h"
 
 #include <cmath>
+#include <mutex>
 #include <unordered_set>
 
 #include "util/string_util.h"
@@ -163,11 +164,16 @@ class BoundInSet : public BoundExpr {
       : negated_(negated),
         probe_(std::move(probe)),
         set_(std::move(set)),
-        set_contains_null_(set_contains_null) {}
+        set_contains_null_(set_contains_null) {
+    for (const Value& v : set_) {
+      has_dates_ |= v.kind() == Value::Kind::kDate;
+      has_strings_ |= v.kind() == Value::Kind::kString;
+    }
+  }
   Value Eval(const std::vector<Value>& row) const override {
     Value v = probe_->Eval(row);
     if (v.is_null()) return Value::Null();
-    bool in = set_.find(v) != set_.end();
+    bool in = Contains(v);
     // SQL three-valued IN: a non-match against a set containing NULL is
     // UNKNOWN, not FALSE — which makes NOT IN filter everything out.
     if (!in && set_contains_null_) return Value::Null();
@@ -175,10 +181,36 @@ class BoundInSet : public BoundExpr {
   }
 
  private:
+  /// Membership by Value::Compare, which equates a DATE with a string
+  /// naming it where the hash does not (see DateKey): a string probe is
+  /// also looked up as its date, and a date probe among the dates the
+  /// set's strings name, mapped once, on the first date probe.
+  bool Contains(const Value& v) const {
+    if (set_.find(v) != set_.end()) return true;
+    if (v.kind() == Value::Kind::kString && has_dates_) {
+      return set_.find(DateKey(v)) != set_.end();
+    }
+    if (v.kind() == Value::Kind::kDate && has_strings_) {
+      std::call_once(string_dates_once_, [this] {
+        for (const Value& s : set_) {
+          if (s.kind() != Value::Kind::kString) continue;
+          Value d = DateKey(s);
+          if (!d.is_null()) string_dates_.insert(std::move(d));
+        }
+      });
+      return string_dates_.find(v) != string_dates_.end();
+    }
+    return false;
+  }
+
   bool negated_;
   std::unique_ptr<BoundExpr> probe_;
   ValueSet set_;
   bool set_contains_null_;
+  bool has_dates_ = false;
+  bool has_strings_ = false;
+  mutable std::once_flag string_dates_once_;
+  mutable ValueSet string_dates_;
 };
 
 class BoundInExprList : public BoundExpr {

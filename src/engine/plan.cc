@@ -1,10 +1,8 @@
 #include "engine/plan.h"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
-#include "engine/cost.h"
 #include "engine/data_facade.h"
 #include "engine/expr_eval.h"
 #include "engine/table.h"
@@ -143,29 +141,17 @@ class Planner {
  public:
   Planner(const DataFacade* facade, const PlannerOptions& options,
           PhysicalPlan* plan)
-      : facade_(facade), options_(options), plan_(plan) {
-    if (options_.cost_based) cost_ = std::make_unique<CostModel>(facade);
-  }
+      : facade_(facade), options_(options), plan_(plan) {}
 
   Status PlanStatement(const SelectStmt& stmt) {
     for (const auto& [name, cte] : stmt.ctes) {
       TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> node,
                              PlanSelectCore(*cte));
-      if (cost_ != nullptr) {
-        cost_->SetCteEstimate(ToLower(name), cost_->EstimateRows(*node));
-      }
       plan_->cte_schemas[ToLower(name)] = node->schema;
       plan_->ctes.emplace_back(ToLower(name), std::move(node));
     }
     TPCDS_ASSIGN_OR_RETURN(plan_->root, PlanSelectCore(stmt));
-    Annotate(*plan_->root);
     return Status::OK();
-  }
-
-  /// Final cost-annotation pass: fills stats.est_rows over the whole tree
-  /// (EXPLAIN's estimated column). No-op unless cost_based.
-  void Annotate(const PlanNode& root) const {
-    if (cost_ != nullptr) cost_->EstimateRows(root);
   }
 
   Result<std::shared_ptr<PlanNode>> PlanSelectCore(const SelectStmt& stmt) {
@@ -614,9 +600,6 @@ class Planner {
   const DataFacade* facade_;
   PlannerOptions options_;
   PhysicalPlan* plan_;
-  /// Present iff options_.cost_based: cardinality estimates for join
-  /// ordering and star-transform dimension ordering.
-  std::unique_ptr<CostModel> cost_;
 };
 
 Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
@@ -743,19 +726,12 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
 
   // Star transformation (semi-join reduction): restrict the first table by
   // every later comma-joined input that equi-joins it on a single key
-  // pair. The dimension node is shared between the semi-join and the
-  // final hash join, so it is marked for memoisation and scanned once.
+  // pair, in FROM order. The dimension node is shared between the
+  // semi-join and the final hash join, so it is marked for memoisation
+  // and scanned once.
   if (options_.star_transformation && inputs.size() > 2) {
     RowSet fact_scope = ScopeOf(*inputs[0]);
-    // Collect one candidate per dimension: a single unconsumed equi
-    // conjunct fact.col = dim.col.
-    struct StarCandidate {
-      size_t t = 0;
-      const Expr* fact_side = nullptr;
-      const Expr* dim_side = nullptr;
-      double selectivity = 1.0;
-    };
-    std::vector<StarCandidate> candidates;
+    std::shared_ptr<PlanNode> fact = inputs[0];
     for (size_t t = 1; t < stmt.from_items.size(); ++t) {
       if (inputs[t] == nullptr) continue;  // deferred to an index join
       if (stmt.from_items[t].join_kind != FromItem::JoinKind::kComma) {
@@ -780,147 +756,27 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
         } else {
           continue;
         }
-        StarCandidate cand;
-        cand.t = t;
-        cand.fact_side = fact_side;
-        cand.dim_side = dim_side;
-        if (cost_ != nullptr) {
-          cost_->EstimateRows(*inputs[t]);
-          cand.selectivity =
-              cost_->SemiJoinSelectivity(*inputs[t], *dim_side);
-        }
-        candidates.push_back(cand);
+        inputs[t]->memoize = true;
+        auto semi = std::make_shared<PlanNode>();
+        semi->kind = PlanKind::kSemiJoinReduce;
+        semi->fact_key = fact_side;
+        semi->dim_key = dim_side;
+        semi->schema = fact->schema;
+        semi->num_visible = fact->num_visible;
+        semi->children.push_back(std::move(fact));
+        semi->children.push_back(inputs[t]);
+        fact = std::move(semi);
+        // The conjunct stays unconsumed: the hash join still needs it to
+        // pair fact rows with the right dimension rows.
         break;
       }
-    }
-    // Cost-based: apply the most selective reduction innermost (first),
-    // so the exact key checks that follow each see the smallest fact.
-    // Structural planning keeps FROM order (stable sort + equal keys).
-    if (cost_ != nullptr) {
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [](const StarCandidate& a, const StarCandidate& b) {
-                         return a.selectivity < b.selectivity;
-                       });
-    }
-    std::shared_ptr<PlanNode> fact = inputs[0];
-    for (const StarCandidate& cand : candidates) {
-      inputs[cand.t]->memoize = true;
-      auto semi = std::make_shared<PlanNode>();
-      semi->kind = PlanKind::kSemiJoinReduce;
-      semi->fact_key = cand.fact_side;
-      semi->dim_key = cand.dim_side;
-      semi->schema = fact->schema;
-      semi->num_visible = fact->num_visible;
-      semi->children.push_back(std::move(fact));
-      semi->children.push_back(inputs[cand.t]);
-      fact = std::move(semi);
-      // The conjunct stays unconsumed: the hash join still needs it to
-      // pair fact rows with the right dimension rows.
     }
     inputs[0] = std::move(fact);
   }
 
-  // Left-deep join pipeline. Structural planning keeps FROM order;
-  // cost-based planning greedily picks the join producing the smallest
-  // estimated intermediate next (keyed joins before cross products).
-  std::vector<size_t> order;
-  order.reserve(stmt.from_items.size());
-  for (size_t t = 1; t < stmt.from_items.size(); ++t) order.push_back(t);
-  bool reorder = cost_ != nullptr && order.size() > 1;
-  if (reorder) {
-    // Only pure comma-join lists reorder: explicit JOIN ... ON syntax and
-    // index-join deferral pin their FROM positions, and SELECT * output
-    // column order follows the join order, so a star select keeps the
-    // structural shape.
-    for (size_t t = 1; t < stmt.from_items.size(); ++t) {
-      if (stmt.from_items[t].join_kind != FromItem::JoinKind::kComma ||
-          deferred[t].table != nullptr) {
-        reorder = false;
-        break;
-      }
-    }
-    for (const SelectItem& item : stmt.select_items) {
-      if (item.is_star) reorder = false;
-    }
-  }
-  if (reorder) {
-    // Greedy smallest-estimated-intermediate-first. `parts` tracks the
-    // chosen inputs so join-key NDVs attribute to the input that owns the
-    // column; conjuncts are only inspected here, never consumed.
-    std::vector<const PlanNode*> parts{inputs[0].get()};
-    double cur_rows = cost_->EstimateRows(*inputs[0]);
-    RowSet cur_scope = ScopeOf(*inputs[0]);
-    auto side_ndv = [&](const Expr& side) -> double {
-      for (const PlanNode* p : parts) {
-        if (ResolvableIn(side, ScopeOf(*p))) {
-          return cost_->KeyNdv(*p, side);
-        }
-      }
-      return std::max(1.0, cur_rows);
-    };
-    std::vector<size_t> remaining = std::move(order);
-    order.clear();
-    while (!remaining.empty()) {
-      size_t best_pos = 0;
-      double best_out = 0.0;
-      bool best_keyed = false;
-      bool have_best = false;
-      for (size_t i = 0; i < remaining.size(); ++i) {
-        size_t t = remaining[i];
-        double t_rows = cost_->EstimateRows(*inputs[t]);
-        RowSet t_scope = ScopeOf(*inputs[t]);
-        double out = cur_rows * std::max(1.0, t_rows);
-        bool keyed = false;
-        for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
-          if (consumed[ci]) continue;
-          const Expr* c = conjuncts[ci];
-          if (ExprHasSubquery(*c)) continue;
-          if (c->tag != Expr::Tag::kBinary || c->name != "=") continue;
-          const Expr& a = *c->children[0];
-          const Expr& b = *c->children[1];
-          const Expr* cur_side = nullptr;
-          const Expr* new_side = nullptr;
-          if (ResolvableIn(a, cur_scope) && ResolvableIn(b, t_scope)) {
-            cur_side = &a;
-            new_side = &b;
-          } else if (ResolvableIn(b, cur_scope) &&
-                     ResolvableIn(a, t_scope)) {
-            cur_side = &b;
-            new_side = &a;
-          } else {
-            continue;
-          }
-          keyed = true;
-          out /= std::max(1.0, std::max(side_ndv(*cur_side),
-                                        cost_->KeyNdv(*inputs[t],
-                                                      *new_side)));
-        }
-        if (keyed) out = std::max(1.0, out);
-        // Keyed joins beat cross products; ties keep FROM order (strict
-        // less over ascending candidate positions).
-        bool better = !have_best || (keyed && !best_keyed) ||
-                      (keyed == best_keyed && out < best_out);
-        if (better) {
-          have_best = true;
-          best_pos = i;
-          best_out = out;
-          best_keyed = keyed;
-        }
-      }
-      size_t chosen = remaining[best_pos];
-      remaining.erase(remaining.begin() +
-                      static_cast<ptrdiff_t>(best_pos));
-      order.push_back(chosen);
-      parts.push_back(inputs[chosen].get());
-      cur_scope.cols.insert(cur_scope.cols.end(),
-                            inputs[chosen]->schema.begin(),
-                            inputs[chosen]->schema.end());
-      cur_rows = best_out;
-    }
-  }
-
+  // Left-deep join pipeline in FROM order.
   std::shared_ptr<PlanNode> current = inputs[0];
-  for (size_t t : order) {
+  for (size_t t = 1; t < stmt.from_items.size(); ++t) {
     const FromItem& item = stmt.from_items[t];
     if (deferred[t].table != nullptr) {
       auto node = std::make_shared<PlanNode>();
@@ -1055,7 +911,6 @@ Result<PhysicalPlan> BuildSubqueryPlan(
   plan.cte_schemas = cte_schemas;
   Planner planner(facade, options, &plan);
   TPCDS_ASSIGN_OR_RETURN(plan.root, planner.PlanSelectCore(stmt));
-  planner.Annotate(*plan.root);
   return plan;
 }
 

@@ -95,9 +95,6 @@ struct PlanOpStats {
   // Storage payload bytes this operator's scan read (morsel-granular:
   // pruned morsels don't count).
   int64_t bytes_touched = 0;
-  // Plan-time cardinality estimate (engine/cost.h), filled in when the
-  // plan was built with PlannerOptions::cost_based; negative = none.
-  double est_rows = -1.0;
 };
 
 /// A physical plan operator. Output schema (`schema` + `num_visible`) is

@@ -58,20 +58,6 @@ struct PlannerOptions {
   /// so results are byte-identical to sort-then-limit at any parallelism.
   /// EXPLAIN reports `topk: kept X of Y rows` on fused nodes.
   bool topk_pushdown = true;
-
-  /// Cost-based planning (docs/PLANNER.md): column statistics
-  /// (engine/stats.h) drive selectivity and join-cardinality estimates,
-  /// which (a) reorder comma-joined FROM lists greedily
-  /// smallest-estimated-intermediate-first, (b) pick the star-transform
-  /// dimension order most-selective-first, and (c) gate Bloom/semi-join
-  /// key pushdown on the estimated reduction ratio instead of the
-  /// structural keys*8<=rows guess. Plans are annotated with estimated
-  /// rows per operator (EXPLAIN shows est vs. actual plus the query's max
-  /// q-error). Off restores the structural FROM-order shapes. Results are
-  /// byte-identical either way, at any parallelism: join output feeds
-  /// name-resolved operators, and pushdown never changes what the exact
-  /// join checks admit.
-  bool cost_based = true;
 };
 
 /// Statistics of one statement execution, for benchmarking and EXPLAIN.
@@ -103,17 +89,8 @@ struct ExecStats {
     int64_t topk_seen = 0;
     int64_t topk_kept = 0;
     int64_t bytes_touched = 0;
-    /// Planner cardinality estimate for this operator's output; negative
-    /// when the plan was not cost-annotated (cost_based off).
-    double est_rows = -1.0;
   };
   std::vector<OpStat> operators;
-
-  /// Worst estimation error across executed, cost-annotated operators:
-  /// max over operators of max(est/actual, actual/est), with +1 smoothing
-  /// so empty outputs stay finite. 0 when nothing was annotated; 1.0 is a
-  /// perfect estimate.
-  double max_q_error = 0.0;
 };
 
 /// Plans and executes a parsed SELECT against one pinned dataset

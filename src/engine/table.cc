@@ -263,7 +263,7 @@ Status EngineTable::AppendRowStrings(
     TPCDS_RETURN_NOT_OK(columns_[i].AppendParsed(fields[i]));
   }
   ++num_rows_;
-  RecordMutation(1);
+  InvalidateIndexes();
   return Status::OK();
 }
 
@@ -275,13 +275,13 @@ Status EngineTable::AppendRowValues(const std::vector<Value>& values) {
     TPCDS_RETURN_NOT_OK(columns_[i].AppendValue(values[i]));
   }
   ++num_rows_;
-  RecordMutation(1);
+  InvalidateIndexes();
   return Status::OK();
 }
 
 void EngineTable::SetValue(int64_t row, int col, const Value& v) {
   columns_[static_cast<size_t>(col)].Set(static_cast<size_t>(row), v);
-  RecordMutation(1);
+  InvalidateIndexes();
 }
 
 std::vector<int64_t> EngineTable::FindRowsIntBetween(int col, int64_t lo,
@@ -311,7 +311,7 @@ int64_t EngineTable::DeleteRows(const std::vector<int64_t>& sorted_rows) {
   for (StorageColumn& c : columns_) c.Retain(keep);
   int64_t deleted = num_rows_ - static_cast<int64_t>(keep.size());
   num_rows_ = static_cast<int64_t>(keep.size());
-  RecordMutation(deleted);
+  InvalidateIndexes();
   return deleted;
 }
 
@@ -323,7 +323,7 @@ Status EngineTable::TruncateRows(int64_t rows) {
   }
   if (rows == num_rows_) return Status::OK();
   for (StorageColumn& c : columns_) c.Truncate(static_cast<size_t>(rows));
-  RecordMutation(num_rows_ - rows);
+  InvalidateIndexes();
   num_rows_ = rows;
   return Status::OK();
 }
@@ -364,7 +364,7 @@ Status EngineTable::ReinsertRows(
     columns_[ci] = std::move(rebuilt);
   }
   num_rows_ = new_rows;
-  RecordMutation(static_cast<int64_t>(sorted_rows.size()));
+  InvalidateIndexes();
   return Status::OK();
 }
 
@@ -435,35 +435,8 @@ const ZoneMap* EngineTable::GetOrBuildZoneMap(int col) {
   return &derived_->zone_maps.emplace(col, std::move(zm)).first->second;
 }
 
-std::shared_ptr<const TableStats> EngineTable::GetOrComputeStats() {
-  // Re-analyse once more than a tenth of the live rows changed. One
-  // maintenance cycle changes about 1% of a fact table, so carried
-  // statistics serve several cycles before a pass re-reads every column.
-  constexpr int64_t kReanalyzeDivisor = 10;
+void EngineTable::InvalidateIndexes() {
   std::lock_guard<std::mutex> lock(index_mu_);
-  if (stats_ == nullptr || rows_changed_ > num_rows_ / kReanalyzeDivisor) {
-    stats_ = std::make_shared<TableStats>(AnalyzeTable(*this));
-    rows_changed_ = 0;
-  }
-  return stats_;
-}
-
-std::shared_ptr<const TableStats> EngineTable::ComputedStats(
-    int64_t* rows_changed) const {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  if (rows_changed != nullptr) *rows_changed = rows_changed_;
-  return stats_;
-}
-
-void EngineTable::InstallStats(std::shared_ptr<const TableStats> stats) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  stats_ = std::move(stats);
-  rows_changed_ = 0;
-}
-
-void EngineTable::RecordMutation(int64_t rows) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  rows_changed_ += rows;
   if (derived_ == nullptr) return;
   // Generation-scoped: retire the bundle so outstanding references from
   // GetOrBuild* stay valid; the next builder starts fresh.
@@ -475,7 +448,6 @@ std::unique_ptr<EngineTable> EngineTable::Clone() const {
   auto copy = std::make_unique<EngineTable>(name_, meta_);
   copy->columns_ = columns_;
   copy->num_rows_ = num_rows_;
-  copy->stats_ = ComputedStats(&copy->rows_changed_);
   return copy;
 }
 

@@ -1,6 +1,7 @@
 #ifndef TPCDS_ENGINE_TABLE_H_
 #define TPCDS_ENGINE_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "engine/batch.h"
-#include "engine/stats.h"
 #include "engine/value.h"
 #include "schema/column.h"
 #include "util/mmap_file.h"
@@ -138,12 +138,10 @@ class StorageColumn {
   std::shared_ptr<const MappedFile> backing_;
 };
 
-/// A loaded table: named, typed columns plus lazily built hash indexes and
-/// carried optimizer statistics. Mutation (append / update / range delete)
-/// invalidates the indexes — exactly the auxiliary-structure maintenance
-/// cost the benchmark's second query run is designed to expose (paper
-/// §5.2) — but keeps the statistics until GetOrComputeStats' re-analysis
-/// rule fires.
+/// A loaded table: named, typed columns plus lazily built hash indexes.
+/// Mutation (append / update / range delete) invalidates the indexes —
+/// exactly the auxiliary-structure maintenance cost the benchmark's second
+/// query run is designed to expose (paper §5.2).
 class EngineTable {
  public:
   struct ColumnMeta {
@@ -232,26 +230,12 @@ class EngineTable {
   /// lifetime contract as the hash indexes.
   const ZoneMap* GetOrBuildZoneMap(int col);
 
-  /// The table's optimizer statistics, collected (one pass, see
-  /// AnalyzeTable) only when the table has none or when more than a tenth
-  /// of its live rows changed since they were collected; otherwise the
-  /// carried statistics. The planner, Database::AnalyzeStorage and
-  /// maintenance all apply this one rule. A returned shared_ptr stays
-  /// valid, describing the rows it was collected from, whatever happens
-  /// to the table afterwards.
-  std::shared_ptr<const TableStats> GetOrComputeStats();
-
-  /// The carried statistics, or nullptr when the table has none — never
-  /// triggers a collection pass (checkpoint save and maintenance peek with
-  /// this). When `rows_changed` is non-null it receives the rows changed
-  /// since the statistics were collected, read under the same lock.
-  std::shared_ptr<const TableStats> ComputedStats(
-      int64_t* rows_changed = nullptr) const;
-
-  /// Installs externally sourced stats (checkpoint STATS sidecar on
-  /// load/attach) as collected from the current rows, replacing any
-  /// carried ones and zeroing the changed-row count.
-  void InstallStats(std::shared_ptr<const TableStats> stats);
+  /// Stubs of the deleted optimizer statistics: tables carry none, so
+  /// there is nothing to compute and nothing to return. These two and
+  /// Database::AnalyzeStorage exist only because the benchmark in
+  /// tpcbench/ still calls them; they go with its next change.
+  void GetOrComputeStats() const {}
+  std::nullptr_t ComputedStats() const { return nullptr; }
 
   /// Count of auxiliary index structures in the current derived-state
   /// generation.
@@ -270,9 +254,8 @@ class EngineTable {
   /// The next GetOrBuild* starts a fresh bundle for the new table state.
   /// Retired bundles are freed when the table is destroyed (with dataset
   /// generations, a mutated table is a private copy-on-write clone, so
-  /// the retired list stays short-lived and bounded). Statistics are not
-  /// derived state: mutators keep them and count the rows they change.
-  void InvalidateIndexes() { RecordMutation(0); }
+  /// the retired list stays short-lived and bounded).
+  void InvalidateIndexes();
 
   /// Derived-state bundles retired by mutations since construction; test
   /// hook for the generation-scoped invalidation contract.
@@ -284,9 +267,7 @@ class EngineTable {
   /// Deep copy of the table's storage for copy-on-write generation builds
   /// (Database::ForkForMaintenance). Mapped columns copy their view (still
   /// zero-copy; they materialise only if the clone is mutated). Indexes
-  /// are not copied — they rebuild lazily on first use. The statistics
-  /// (shared, immutable) and the changed-row count are carried over, so
-  /// the next generation re-analyses only under GetOrComputeStats' rule.
+  /// are not copied — they rebuild lazily on first use.
   std::unique_ptr<EngineTable> Clone() const;
 
  private:
@@ -300,10 +281,6 @@ class EngineTable {
     std::unordered_map<int, ZoneMap> zone_maps;
   };
 
-  /// Retires the derived state (see InvalidateIndexes) and adds `rows` to
-  /// the count of rows changed since the statistics were collected.
-  void RecordMutation(int64_t rows);
-
   std::string name_;
   std::vector<ColumnMeta> meta_;
   std::vector<StorageColumn> columns_;
@@ -312,11 +289,6 @@ class EngineTable {
   mutable std::mutex index_mu_;
   std::shared_ptr<DerivedState> derived_;
   std::vector<std::shared_ptr<DerivedState>> retired_;
-  // Guarded by index_mu_. Each appended, deleted, truncated or reinserted
-  // row and each updated cell counts one; over-counting only brings the
-  // next analysis forward.
-  std::shared_ptr<const TableStats> stats_;
-  int64_t rows_changed_ = 0;
 };
 
 }  // namespace tpcds

@@ -77,6 +77,12 @@ int Value::Compare(const Value& a, const Value& b) {
   return CompareDoubles(a.AsDouble(), b.AsDouble());
 }
 
+Value DateKey(Value v) {
+  if (v.kind() != Value::Kind::kString) return v;
+  Result<Date> d = Date::Parse(v.AsString());
+  return d.ok() ? Value::Dt(*d) : Value::Null();
+}
+
 bool Value::SqlEquals(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return false;
   return Compare(a, b) == 0;

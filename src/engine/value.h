@@ -76,7 +76,8 @@ class Value {
   static bool SqlEquals(const Value& a, const Value& b);
 
   /// Hash consistent with SqlEquals for group-by/join keys (numerics of
-  /// equal value hash equally).
+  /// equal value hash equally), except that a DATE and a string naming it
+  /// hash apart: see DateKey.
   size_t Hash() const;
 
   /// Rendering for result display and CSV output; NULL renders as "NULL".
@@ -88,6 +89,14 @@ class Value {
   double dbl_ = 0.0;
   std::string str_;
 };
+
+/// Compare equates a DATE with a string that parses as that date, but
+/// Hash hashes the date's day number and the string's bytes. So a hashed
+/// lookup where one side holds dates and the other strings maps the
+/// string side through DateKey first, as StorageValueForEquality does for
+/// raw storage: a string naming a date becomes that date, any other
+/// string becomes NULL, which equals nothing. Other kinds pass through.
+Value DateKey(Value v);
 
 }  // namespace tpcds
 

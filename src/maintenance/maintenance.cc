@@ -579,14 +579,6 @@ Status RunMaintenanceGeneration(Database* db,
   // swap is then skipped so `db` never even observes the no-op adoption.
   if (status.ok() || wal != nullptr) {
     TPCDS_RETURN_NOT_OK(db->AdoptTablesFrom(build.get()));
-    // The clones carried their statistics and changed-row counts. Apply
-    // the re-analysis rule before publishing, so no query pays for it;
-    // tables never analysed stay that way (workloads that never plan
-    // cost-based pay no analyze pass).
-    for (const std::string& name : MaintainedTables()) {
-      EngineTable* table = db->FindTable(name);
-      if (table->ComputedStats() != nullptr) table->GetOrComputeStats();
-    }
     if (provider != nullptr) provider->Publish(db->Snapshot());
   }
   return status;

@@ -82,12 +82,8 @@ const std::vector<std::string>& MaintainedTables();
 /// happens when every operation succeeded (a failure discards the fork —
 /// `db` never sees partial state, no undo needed). With a WAL attached the
 /// committed prefix is published even on failure, matching what crash
-/// recovery replays. Optimizer statistics carry over with the cloned
-/// tables; before the swap is published, every maintained table that has
-/// statistics applies EngineTable::GetOrComputeStats' rule, so only a
-/// table with more than a tenth of its rows changed since its last
-/// analysis is re-analysed. When `provider` is non-null, the new
-/// generation's snapshot is published to it after the swap.
+/// recovery replays. When `provider` is non-null, the new generation's
+/// snapshot is published to it after the swap.
 Status RunMaintenanceGeneration(Database* db,
                                 const MaintenanceOptions& options,
                                 MaintenanceReport* report,

@@ -93,15 +93,6 @@ class ByteReader {
     return s;
   }
 
-  Status ReadMagic(const char magic[8]) {
-    TPCDS_RETURN_NOT_OK(Need(8));
-    if (data_.compare(pos_, 8, magic, 8) != 0) {
-      return Status::DataLoss(context_ + ": bad magic");
-    }
-    pos_ += 8;
-    return Status::OK();
-  }
-
  private:
   const std::string& data_;
   std::string context_;

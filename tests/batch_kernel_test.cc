@@ -1,7 +1,8 @@
 // Unit tests for the vectorized columnar primitives in engine/batch.{h,cc}:
 // typed scan kernels over raw storage, zone-map construction and pruning,
-// the Bloom filter, raw-storage key coercion, and the planner's
-// kernel-vs-residual classification of pushed scan filters.
+// the Bloom filter, raw-storage key coercion, the planner's
+// kernel-vs-residual classification of pushed scan filters, and the gate
+// that pushes join keys into a probe scan.
 
 #include "engine/batch.h"
 
@@ -604,6 +605,75 @@ TEST(VectorizedScanTest, BytesTouchedChargesPayloadOfScannedMorsels) {
   Result<std::string> explain = db.Explain(cases[1].sql);
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_NE(explain->find("bytes touched"), std::string::npos) << *explain;
+}
+
+// ---- Join-key pushdown gate ---------------------------------------------
+
+TEST(JoinKeyPushdownTest, PushesKeySetsOfAtMostAnEighthOfTheProbeRows) {
+  // The fact key ascends over eight morsels. Each dimension holds `keys`
+  // consecutive fact keys from 2500 on, so a pushed key set keeps only
+  // morsels 2 and 3 (rows 2048-4095) by zone map and rejects their rows
+  // outside [2500, 2500 + keys - 1]. The gate pushes a key set into the
+  // probe scan only when keys * 8 <= the 8192 fact rows.
+  Database db;
+  const int64_t rows = 8 * static_cast<int64_t>(kBatchRows);
+  ASSERT_TRUE(db.CreateTable("fact", {{"k", ColumnType::kIdentifier}}).ok());
+  EngineTable* fact = db.FindTable("fact");
+  for (int64_t i = 0; i < rows; ++i) {
+    ASSERT_TRUE(fact->AppendRowStrings({std::to_string(i)}).ok());
+  }
+  ASSERT_TRUE(db.CreateTable("one", {{"g", ColumnType::kInteger}}).ok());
+  ASSERT_TRUE(db.FindTable("one")->AppendRowStrings({"0"}).ok());
+  const int64_t first_key = 2500;
+  for (int64_t keys : {rows / 8 - 1, rows / 8, rows / 8 + 1}) {
+    // The hash join's gate counts build rows, one per key here. The star
+    // semi-join's counts distinct keys; its dimension holds each key
+    // twice, so the hash join above it (2 * keys build rows) never pushes.
+    const std::string hash_dim = "h" + std::to_string(keys);
+    const std::string semi_dim = "s" + std::to_string(keys);
+    ASSERT_TRUE(
+        db.CreateTable(hash_dim, {{"k", ColumnType::kIdentifier}}).ok());
+    ASSERT_TRUE(db.CreateTable(semi_dim, {{"k", ColumnType::kIdentifier},
+                                          {"g", ColumnType::kInteger}})
+                    .ok());
+    for (int64_t i = 0; i < keys; ++i) {
+      std::string k = std::to_string(first_key + i);
+      ASSERT_TRUE(db.FindTable(hash_dim)->AppendRowStrings({k}).ok());
+      for (int copy = 0; copy < 2; ++copy) {
+        ASSERT_TRUE(db.FindTable(semi_dim)->AppendRowStrings({k, "0"}).ok());
+      }
+    }
+    const bool pushed = keys * 8 <= rows;
+    const int64_t last_key = first_key + keys - 1;
+    const int64_t pruned = pushed ? 6 : 0;
+    const int64_t rejects =
+        pushed ? (first_key - 2048) + (4095 - last_key) : 0;
+    const std::pair<std::string, int64_t> queries[] = {
+        {"SELECT COUNT(*) FROM fact JOIN " + hash_dim + " d ON fact.k = d.k",
+         keys},
+        {"SELECT COUNT(*) FROM fact, " + semi_dim +
+             " d, one WHERE fact.k = d.k AND d.g = one.g",
+         2 * keys}};
+    for (const auto& [sql, count] : queries) {
+      for (bool vectorized : {false, true}) {
+        for (int workers : {1, 4}) {
+          PlannerOptions options = db.default_options();
+          options.vectorized_execution = vectorized;
+          options.parallelism = workers;
+          ExecStats stats;
+          Result<QueryResult> r = db.Query(sql, options, &stats);
+          ASSERT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+          const std::string where = sql + (vectorized ? ", vectorized" : "") +
+                                    " at parallelism " +
+                                    std::to_string(workers);
+          EXPECT_EQ(r->rows[0][0].AsInt(), count) << where;
+          if (!vectorized) continue;
+          EXPECT_EQ(stats.morsels_pruned, pruned) << where;
+          EXPECT_EQ(stats.bloom_rejects, rejects) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

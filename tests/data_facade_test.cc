@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -122,6 +123,120 @@ TEST(DataFacadeTest, RetiredDerivedStateStaysValidForHolders) {
   const EngineTable::HashIndex& rebuilt = t->GetOrBuildIntIndex(0);
   EXPECT_NE(&rebuilt, &index);
 }
+
+/// Every mutator retires the derived state, so the next index build and
+/// the zone maps a pruned scan reads describe the rows after it.
+enum class Mutation {
+  kAppendRowStrings,
+  kAppendRowValues,
+  kSetValue,
+  kDeleteRows,
+  kTruncateRows,
+  kReinsertRows,
+};
+
+class DerivedStateMutationTest : public ::testing::TestWithParam<Mutation> {};
+
+TEST_P(DerivedStateMutationTest, RebuiltIndexesAndZoneMapsSeeTheNewRows) {
+  // Row i holds key i, over three morsels. Each mutation adds or removes
+  // one occurrence of `probe`; a kept index, or a kept zone map pruning
+  // the probe's morsel, would still answer as before the mutation.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", {{"k", ColumnType::kIdentifier}}).ok());
+  EngineTable* t = db.FindTable("t");
+  const int64_t rows = 2 * static_cast<int64_t>(kBatchRows) + 5;
+  for (int64_t i = 0; i < rows; ++i) {
+    ASSERT_TRUE(t->AppendRowStrings({std::to_string(i)}).ok());
+  }
+  int64_t probe = 0;
+  std::function<void()> mutate;
+  switch (GetParam()) {
+    case Mutation::kAppendRowStrings:
+      probe = rows;
+      mutate = [&] {
+        ASSERT_TRUE(t->AppendRowStrings({std::to_string(probe)}).ok());
+      };
+      break;
+    case Mutation::kAppendRowValues:
+      probe = rows + 1;
+      mutate = [&] {
+        ASSERT_TRUE(t->AppendRowValues({Value::Int(probe)}).ok());
+      };
+      break;
+    case Mutation::kSetValue:
+      probe = 9999;
+      mutate = [&] { t->SetValue(5, 0, Value::Int(probe)); };
+      break;
+    case Mutation::kDeleteRows:
+      probe = 3;
+      mutate = [&] { EXPECT_EQ(t->DeleteRows({3}), 1); };
+      break;
+    case Mutation::kTruncateRows:
+      probe = rows - 1;
+      mutate = [&] { ASSERT_TRUE(t->TruncateRows(rows - 1).ok()); };
+      break;
+    case Mutation::kReinsertRows:
+      probe = 3;
+      ASSERT_EQ(t->DeleteRows({3}), 1);
+      mutate = [&] {
+        ASSERT_TRUE(t->ReinsertRows({3}, {{Value::Int(probe)}}).ok());
+      };
+      break;
+  }
+  auto index_hits = [&]() -> int64_t {
+    const EngineTable::HashIndex& index = t->GetOrBuildIntIndex(0);
+    auto hit = index.find(probe);
+    return hit == index.end() ? 0 : static_cast<int64_t>(hit->second.size());
+  };
+  auto scan_hits = [&]() -> int64_t {
+    ExecStats stats;
+    Result<QueryResult> r = db.Query(
+        "SELECT COUNT(*) FROM t WHERE k = " + std::to_string(probe),
+        db.default_options(), &stats);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(stats.morsels_pruned, 0);
+    return r.ok() ? r->rows[0][0].AsInt() : -1;
+  };
+  const int64_t before = index_hits();
+  EXPECT_EQ(scan_hits(), before);
+  EXPECT_EQ(t->IndexCount(), 1u);
+  const size_t retired = t->RetiredDerivedCount();
+
+  mutate();
+  EXPECT_EQ(t->RetiredDerivedCount(), retired + 1);
+  EXPECT_EQ(t->IndexCount(), 0u);
+  const int64_t after = 1 - before;
+  EXPECT_EQ(index_hits(), after);
+  EXPECT_EQ(scan_hits(), after);
+  const ZoneMap* zones = t->GetOrBuildZoneMap(0);
+  ASSERT_NE(zones, nullptr);
+  EXPECT_EQ(static_cast<int64_t>(zones->blocks.size()),
+            (t->num_rows() + static_cast<int64_t>(kBatchRows) - 1) /
+                static_cast<int64_t>(kBatchRows));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutators, DerivedStateMutationTest,
+    ::testing::Values(Mutation::kAppendRowStrings, Mutation::kAppendRowValues,
+                      Mutation::kSetValue, Mutation::kDeleteRows,
+                      Mutation::kTruncateRows, Mutation::kReinsertRows),
+    [](const ::testing::TestParamInfo<Mutation>& info) -> std::string {
+      switch (info.param) {
+        case Mutation::kAppendRowStrings:
+          return "AppendRowStrings";
+        case Mutation::kAppendRowValues:
+          return "AppendRowValues";
+        case Mutation::kSetValue:
+          return "SetValue";
+        case Mutation::kDeleteRows:
+          return "DeleteRows";
+        case Mutation::kTruncateRows:
+          return "TruncateRows";
+        case Mutation::kReinsertRows:
+          return "ReinsertRows";
+      }
+      return "Unknown";
+    });
 
 TEST(DataFacadeTest, MaintenanceGenerationPublishesToProvider) {
   Database db;

@@ -1,5 +1,6 @@
 // Unit tests for the engine's Value semantics: cross-kind comparison
-// coercions, hash consistency with equality, truthiness and display.
+// coercions, hash consistency with equality, truthiness and display, and
+// the DateKey mapping of hashed date/string equality.
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,39 @@ TEST(ValueTest, StringOrdering) {
   EXPECT_LT(Value::Compare(Value::Str("apple"), Value::Str("banana")), 0);
   EXPECT_EQ(Value::Compare(Value::Str("a"), Value::Str("a")), 0);
   EXPECT_GT(Value::Compare(Value::Str("b"), Value::Str("ab")), 0);
+}
+
+// ---- DateKey -------------------------------------------------------------
+//
+// Compare equates a DATE with a string naming it, Hash does not; hashed
+// joins and IN sets map the string side through DateKey.
+
+TEST(DateKeyTest, StringNamingADateBecomesThatDate) {
+  const Value date = Value::Dt(Date::FromYmd(2000, 1, 5));
+  const Value key = DateKey(Value::Str("2000-01-05"));
+  ASSERT_EQ(key.kind(), Value::Kind::kDate);
+  EXPECT_EQ(key.AsDate().ToString(), "2000-01-05");
+  EXPECT_TRUE(Value::SqlEquals(key, date));
+  EXPECT_EQ(key.Hash(), date.Hash());
+}
+
+TEST(DateKeyTest, StringNamingNoDateEqualsNothing) {
+  for (const char* text : {"", "x", "2000-01", "2000/01/05", "20000105"}) {
+    const Value key = DateKey(Value::Str(text));
+    EXPECT_TRUE(key.is_null()) << "'" << text << "'";
+    EXPECT_FALSE(Value::SqlEquals(key, key)) << "'" << text << "'";
+  }
+}
+
+TEST(DateKeyTest, OtherKindsPassThrough) {
+  const Value date = Value::Dt(Date::FromYmd(1999, 2, 21));
+  EXPECT_EQ(DateKey(date).kind(), Value::Kind::kDate);
+  EXPECT_EQ(DateKey(date).AsDate().ToString(), "1999-02-21");
+  EXPECT_EQ(DateKey(Value::Int(20000105)).kind(), Value::Kind::kInt);
+  EXPECT_EQ(DateKey(Value::Int(20000105)).AsInt(), 20000105);
+  EXPECT_EQ(DateKey(Value::Dec(Decimal::FromCents(500))).AsDecimal().cents(),
+            500);
+  EXPECT_TRUE(DateKey(Value::Null()).is_null());
 }
 
 }  // namespace

@@ -132,6 +132,27 @@ TEST_F(RecoveryTest, CheckpointManifestCorruptionIsDataLoss) {
   fs::remove_all(dir);
 }
 
+TEST_F(RecoveryTest, LeftoverStatsFileIsNotRead) {
+  // Older builds saved optimizer statistics beside the tables as STATS.
+  // A checkpoint has no such file now, and one left in the directory is
+  // not read, even when it is corrupt, on either read path.
+  EXPECT_FALSE(fs::exists(ckpt_dir_ + "/STATS"));
+  std::string dir = Scratch("leftover_stats");
+  fs::copy(ckpt_dir_, dir, fs::copy_options::recursive);
+  std::ofstream(dir + "/STATS", std::ios::binary) << "TPCDSST1 corrupt";
+  {
+    Database loaded;
+    Status st = loaded.LoadCheckpoint(dir);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(HashDatabaseContent(loaded), HashDatabaseContent(*db_));
+    Database attached;
+    st = attached.AttachCheckpoint(dir);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(HashDatabaseContent(attached), HashDatabaseContent(*db_));
+  }
+  fs::remove_all(dir);
+}
+
 TEST_F(RecoveryTest, MissingManifestIsNotFound) {
   std::string dir = Scratch("no_manifest");
   fs::create_directories(dir);
