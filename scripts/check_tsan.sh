@@ -19,7 +19,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   engine_parallel_test engine_exec_test engine_smoke_test \
   engine_differential_test driver_test governance_test robustness_test \
   batch_kernel_test agg_sort_parallel_test recovery_test \
-  data_facade_test service_test chaos_test audit_test
+  data_facade_test service_test chaos_test audit_test alloc_count_test
 
 # halt_on_error makes a race fail the script, not just print a report.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -29,7 +29,8 @@ for test in engine_parallel_test engine_exec_test engine_smoke_test \
             engine_differential_test driver_test governance_test \
             robustness_test batch_kernel_test \
             agg_sort_parallel_test recovery_test \
-            data_facade_test service_test chaos_test audit_test; do
+            data_facade_test service_test chaos_test audit_test \
+            alloc_count_test; do
   echo "== $SANITIZER: $test"
   "$BUILD_DIR/tests/$test"
 done

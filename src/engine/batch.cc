@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
 
 #include "engine/ast.h"
 #include "engine/expr_eval.h"
@@ -183,6 +184,39 @@ std::string FlipOp(const std::string& op) {
   return op;  // = and <> are symmetric
 }
 
+// True when `e` reads no row: no column reference, subquery, aggregate,
+// window or `*` anywhere in it.
+bool IsConstant(const Expr& e) {
+  switch (e.tag) {
+    case Expr::Tag::kColumnRef:
+    case Expr::Tag::kStar:
+    case Expr::Tag::kAggregate:
+    case Expr::Tag::kWindow:
+    case Expr::Tag::kInSubquery:
+    case Expr::Tag::kScalarSubquery:
+    case Expr::Tag::kExistsSubquery:
+      return false;
+    default:
+      break;
+  }
+  for (const auto& c : e.children) {
+    if (!IsConstant(*c)) return false;
+  }
+  return true;
+}
+
+// The value of a kernel operand that reads no row: a literal as written,
+// any other constant expression (`CAST('1998-01-01' AS DATE) + 30`)
+// evaluated once, here, over an empty scope. nullopt for any other
+// operand.
+std::optional<Value> ConstantValue(const Expr& e) {
+  if (e.tag == Expr::Tag::kLiteral) return e.literal;
+  if (!IsConstant(e)) return std::nullopt;
+  Result<std::unique_ptr<BoundExpr>> bound = BindExpr(e, RowSet(), nullptr);
+  if (!bound.ok()) return std::nullopt;
+  return (*bound)->Eval({});
+}
+
 // Resolves a bare column reference to its storage column index, or -1.
 int ResolveStorageCol(const Expr& e, const RowSet& scope,
                       const std::vector<int>& scan_cols) {
@@ -225,18 +259,19 @@ bool CompileCompare(const Expr& pred, const RowSet& scope,
     return false;
   }
   const Expr* colref = pred.children[0].get();
-  const Expr* lit = pred.children[1].get();
-  if (colref->tag == Expr::Tag::kLiteral &&
-      lit->tag == Expr::Tag::kColumnRef) {
+  const Expr* operand = pred.children[1].get();
+  if (colref->tag != Expr::Tag::kColumnRef &&
+      operand->tag == Expr::Tag::kColumnRef) {
     // Value::Compare is antisymmetric across every coercion pair, so
     // `lit OP col` is exactly `col FLIP(OP) lit`.
-    std::swap(colref, lit);
+    std::swap(colref, operand);
     op = FlipOp(op);
   }
-  if (lit->tag != Expr::Tag::kLiteral) return false;
+  std::optional<Value> lit = ConstantValue(*operand);
+  if (!lit) return false;
   int col = ResolveStorageCol(*colref, scope, scan_cols);
   if (col < 0) return false;
-  const Value& v = lit->literal;
+  const Value& v = *lit;
   if (v.is_null()) {  // comparison with NULL is never true
     PushAlwaysFalse(col, out);
     return true;
@@ -275,14 +310,12 @@ bool CompileBetween(const Expr& pred, const RowSet& scope,
                     const std::vector<int>& scan_cols,
                     std::vector<ScanKernel>* out) {
   if (pred.children.size() != 3) return false;
-  const Expr& lo_e = *pred.children[1];
-  const Expr& hi_e = *pred.children[2];
-  if (lo_e.tag != Expr::Tag::kLiteral || hi_e.tag != Expr::Tag::kLiteral) {
-    return false;
-  }
+  std::optional<Value> lo = ConstantValue(*pred.children[1]);
+  std::optional<Value> hi = ConstantValue(*pred.children[2]);
+  if (!lo || !hi) return false;
   int col = ResolveStorageCol(*pred.children[0], scope, scan_cols);
   if (col < 0) return false;
-  if (lo_e.literal.is_null() || hi_e.literal.is_null()) {
+  if (lo->is_null() || hi->is_null()) {
     // BETWEEN with a NULL bound evaluates to NULL even when negated.
     PushAlwaysFalse(col, out);
     return true;
@@ -291,24 +324,24 @@ bool CompileBetween(const Expr& pred, const RowSet& scope,
   if (c.is_string()) {
     // NOT BETWEEN on strings is a disjunction — one kernel can't carry it.
     if (pred.negated) return false;
-    if (lo_e.literal.kind() != Value::Kind::kString ||
-        hi_e.literal.kind() != Value::Kind::kString) {
+    if (lo->kind() != Value::Kind::kString ||
+        hi->kind() != Value::Kind::kString) {
       return false;
     }
     ScanKernel ge, le;
     ge.kind = le.kind = ScanKernel::Kind::kStrCompare;
     ge.col = le.col = col;
     ge.cmp = ScanKernel::Cmp::kGe;
-    ge.str = lo_e.literal.AsString();
+    ge.str = lo->AsString();
     le.cmp = ScanKernel::Cmp::kLe;
-    le.str = hi_e.literal.AsString();
+    le.str = hi->AsString();
     out->push_back(std::move(ge));
     out->push_back(std::move(le));
     return true;
   }
   LitRational ql, qh;
-  LitMap lml = MapLiteral(c.type(), lo_e.literal, &ql);
-  LitMap lmh = MapLiteral(c.type(), hi_e.literal, &qh);
+  LitMap lml = MapLiteral(c.type(), *lo, &ql);
+  LitMap lmh = MapLiteral(c.type(), *hi, &qh);
   PassRange rl, rh;
   if (!RangeForCompare(">=", lml, ql, &rl)) return false;
   if (!RangeForCompare("<=", lmh, qh, &rh)) return false;
@@ -327,10 +360,16 @@ bool CompileInList(const Expr& pred, const RowSet& scope,
                    const std::vector<int>& scan_cols,
                    std::vector<ScanKernel>* out) {
   if (pred.children.size() < 2) return false;
-  // Only the all-literal form, which expr_eval compiles to a value set
-  // (BoundInSet); mixed-expression lists have different NULL semantics.
+  // Every list item must be constant. An all-literal list evaluates as a
+  // value set (BoundInSet), where a NULL item makes a miss UNKNOWN; any
+  // other list compares item by item (BoundInExprList), skipping NULLs.
+  std::vector<Value> items;
+  bool all_literals = true;
   for (size_t i = 1; i < pred.children.size(); ++i) {
-    if (pred.children[i]->tag != Expr::Tag::kLiteral) return false;
+    std::optional<Value> v = ConstantValue(*pred.children[i]);
+    if (!v) return false;
+    all_literals &= pred.children[i]->tag == Expr::Tag::kLiteral;
+    items.push_back(std::move(*v));
   }
   int col = ResolveStorageCol(*pred.children[0], scope, scan_cols);
   if (col < 0) return false;
@@ -341,10 +380,9 @@ bool CompileInList(const Expr& pred, const RowSet& scope,
   k.negated = pred.negated;
   if (c.is_string()) {
     k.kind = ScanKernel::Kind::kStrIn;
-    for (size_t i = 1; i < pred.children.size(); ++i) {
-      const Value& v = pred.children[i]->literal;
+    for (const Value& v : items) {
       if (v.is_null()) {
-        has_null = true;
+        has_null = all_literals;
         continue;
       }
       if (v.kind() != Value::Kind::kString) return false;
@@ -354,10 +392,9 @@ bool CompileInList(const Expr& pred, const RowSet& scope,
     k.strs.erase(std::unique(k.strs.begin(), k.strs.end()), k.strs.end());
   } else {
     k.kind = ScanKernel::Kind::kIntIn;
-    for (size_t i = 1; i < pred.children.size(); ++i) {
-      const Value& v = pred.children[i]->literal;
+    for (const Value& v : items) {
       if (v.is_null()) {
-        has_null = true;
+        has_null = all_literals;
         continue;
       }
       int64_t raw = 0;
@@ -549,54 +586,41 @@ void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
 }
 
 void GatherRows(const EngineTable& table, const std::vector<int>& cols,
-                const SelectionVector& sel,
-                std::vector<std::vector<Value>>* out) {
-  size_t base = out->size();
-  out->resize(base + sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) {
-    (*out)[base + i].reserve(cols.size());
-  }
+                const uint32_t* rows, size_t n, size_t stride,
+                std::vector<Value>* out) {
   for (int col : cols) {
     const StorageColumn& c = table.column(static_cast<size_t>(col));
     const uint8_t* nulls = c.nulls().data();
+    const int64_t* nums = c.nums().data();
     switch (c.type()) {
       case ColumnType::kIdentifier:
-      case ColumnType::kInteger: {
-        const int64_t* nums = c.nums().data();
-        for (size_t i = 0; i < sel.size(); ++i) {
-          uint32_t r = sel[i];
-          (*out)[base + i].push_back(nulls[r] ? Value::Null()
-                                              : Value::Int(nums[r]));
+      case ColumnType::kInteger:
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t r = rows[i * stride];
+          out[i].push_back(nulls[r] ? Value::Null() : Value::Int(nums[r]));
         }
         break;
-      }
-      case ColumnType::kDecimal: {
-        const int64_t* nums = c.nums().data();
-        for (size_t i = 0; i < sel.size(); ++i) {
-          uint32_t r = sel[i];
-          (*out)[base + i].push_back(
-              nulls[r] ? Value::Null()
-                       : Value::Dec(Decimal::FromCents(nums[r])));
+      case ColumnType::kDecimal:
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t r = rows[i * stride];
+          out[i].push_back(nulls[r] ? Value::Null()
+                                    : Value::Dec(Decimal::FromCents(nums[r])));
         }
         break;
-      }
-      case ColumnType::kDate: {
-        const int64_t* nums = c.nums().data();
-        for (size_t i = 0; i < sel.size(); ++i) {
-          uint32_t r = sel[i];
-          (*out)[base + i].push_back(
+      case ColumnType::kDate:
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t r = rows[i * stride];
+          out[i].push_back(
               nulls[r] ? Value::Null()
                        : Value::Dt(Date(static_cast<int32_t>(nums[r]))));
         }
         break;
-      }
       case ColumnType::kChar:
       case ColumnType::kVarchar:
-        for (size_t i = 0; i < sel.size(); ++i) {
-          uint32_t r = sel[i];
-          (*out)[base + i].push_back(
-              nulls[r] ? Value::Null()
-                       : Value::Str(std::string(c.Str(r))));
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t r = rows[i * stride];
+          out[i].push_back(nulls[r] ? Value::Null()
+                                    : Value::Str(std::string(c.Str(r))));
         }
         break;
     }

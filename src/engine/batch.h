@@ -26,7 +26,8 @@ inline constexpr size_t kBatchRows = 1024;
 
 /// A selection vector: row indices into a table, ascending. The vectorized
 /// scan starts from the identity selection of a morsel and lets each kernel
-/// compact it in place; only surviving rows are materialised as Values.
+/// compact it in place; only surviving rows are materialised as Values, and
+/// in a join pipeline only at its top.
 using SelectionVector = std::vector<uint32_t>;
 
 /// One compiled predicate over a single storage column. Kernels evaluate on
@@ -84,12 +85,14 @@ bool CompileScanKernel(const Expr& pred, const RowSet& scope,
 void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
                      SelectionVector* sel);
 
-/// Gathers the selected rows of `cols` into row-major Values, column at a
-/// time so the per-column type dispatch is hoisted out of the row loop.
-/// Appends `sel.size()` rows to `out`.
+/// Appends the values of `cols` at table rows rows[0], rows[stride], ...,
+/// rows[(n - 1) * stride] to the rows out[0], ..., out[n - 1], a column at
+/// a time so the per-column type dispatch is hoisted out of the row loop.
+/// `stride` steps over the other sources of an index tuple (see the
+/// executor's index form); a selection vector has stride 1.
 void GatherRows(const EngineTable& table, const std::vector<int>& cols,
-                const SelectionVector& sel,
-                std::vector<std::vector<Value>>* out);
+                const uint32_t* rows, size_t n, size_t stride,
+                std::vector<Value>* out);
 
 /// Min/max summary of one kBatchRows block of an int-backed column.
 struct ZoneEntry {

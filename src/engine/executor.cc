@@ -118,6 +118,99 @@ StorageEq ProbeWord(Value::Kind kind, const Value& v, int64_t* word) {
   return StorageValueForEquality(WordColumnType(kind), v, word);
 }
 
+// ------------------------------------------------------------ index form
+
+/// A join pipeline's probe side in index form (docs/EXECUTOR.md): one
+/// uint32 row index per source instead of a boxed row. Source 0 is the
+/// probe-side base table, read through its storage columns `scan_cols`;
+/// each hash join above it adds its build side's rows as the next source,
+/// where KeyTable::kNone marks a LEFT JOIN miss. The rows stay in the
+/// scan's morsel chunks, in morsel order: a chunk holds what grew from at
+/// most kBatchRows probe rows, row-major, sources() indices per row.
+struct IndexedRows {
+  std::vector<RowSet::Col> cols;  // the schema of the boxed rows
+  const EngineTable* table = nullptr;
+  const std::vector<int>* scan_cols = nullptr;
+  std::vector<std::shared_ptr<RowSet>> builds;  // source s is builds[s - 1]
+  std::vector<size_t> widths;                   // columns of each source
+  std::vector<std::vector<uint32_t>> chunks;
+
+  size_t sources() const { return widths.size(); }
+  size_t size() const {
+    size_t n = 0;
+    for (const auto& chunk : chunks) n += chunk.size();
+    return n / sources();
+  }
+  /// Drops the chunks no row survived in.
+  void DropEmptyChunks() {
+    chunks.erase(std::remove_if(chunks.begin(), chunks.end(),
+                                [](const auto& c) { return c.empty(); }),
+                 chunks.end());
+  }
+};
+
+/// The Value kind a storage column of `type` holds.
+Value::Kind StorageKind(ColumnType type) {
+  switch (type) {
+    case ColumnType::kDecimal: return Value::Kind::kDecimal;
+    case ColumnType::kDate: return Value::Kind::kDate;
+    case ColumnType::kChar:
+    case ColumnType::kVarchar: return Value::Kind::kString;
+    default: return Value::Kind::kInt;
+  }
+}
+
+/// One column of the index form, read per row tuple: from storage for
+/// source 0, from the build row otherwise. A kNone index reads NULL.
+struct IndexedCol {
+  size_t source = 0;
+  const StorageColumn* storage = nullptr;  // source 0
+  const RowSet* build = nullptr;           // a build source
+  size_t slot = 0;                         // the value's slot in its row
+
+  Value Get(const uint32_t* tuple) const {
+    uint32_t r = tuple[source];
+    if (r == KeyTable::kNone) return Value::Null();
+    return storage != nullptr ? storage->Get(r) : build->rows[r][slot];
+  }
+  /// True when the column stores its values as words of `kind`, so a
+  /// typed probe reads them without boxing.
+  bool HoldsWords(Value::Kind kind) const {
+    return storage != nullptr && IsWordKind(kind) &&
+           StorageKind(storage->type()) == kind;
+  }
+};
+
+/// Resolves a bare column against the index form's schema.
+Result<IndexedCol> ResolveIndexed(const IndexedRows& in, const Expr& key) {
+  RowSet scope;
+  scope.cols = in.cols;
+  TPCDS_ASSIGN_OR_RETURN(int resolved, scope.Resolve(key.qualifier, key.name));
+  IndexedCol col;
+  col.slot = static_cast<size_t>(resolved);
+  while (col.slot >= in.widths[col.source]) col.slot -= in.widths[col.source++];
+  if (col.source == 0) {
+    col.storage = &in.table->column(
+        static_cast<size_t>((*in.scan_cols)[col.slot]));
+  } else {
+    col.build = in.builds[col.source - 1].get();
+  }
+  return col;
+}
+
+/// The kind of the first non-NULL value of `col` in the index form's rows,
+/// else kNull; FirstKind for the index form.
+Value::Kind FirstKind(const IndexedRows& in, const IndexedCol& col) {
+  size_t k = in.sources();
+  for (const auto& chunk : in.chunks) {
+    for (size_t i = 0; i < chunk.size(); i += k) {
+      Value::Kind kind = col.Get(&chunk[i]).kind();
+      if (kind != Value::Kind::kNull) return kind;
+    }
+  }
+  return Value::Kind::kNull;
+}
+
 // ------------------------------------------------------------ aggregates
 
 class Accumulator {
@@ -319,14 +412,37 @@ class PlanExecutor : public SubqueryEvaluator {
       auto it = memo_.find(node.get());
       if (it != memo_.end()) return it->second;
     }
+    Result<std::shared_ptr<RowSet>> result =
+        Instrumented<std::shared_ptr<RowSet>>(
+            *node, [&] { return Dispatch(*node); });
+    if (result.ok() && node->memoize) memo_[node.get()] = *result;
+    return result;
+  }
+
+  /// Executes an Indexable() node for the join above it, in index form.
+  Result<IndexedRows> ExecIndexed(const std::shared_ptr<PlanNode>& node) {
+    return Instrumented<IndexedRows>(*node, [&]() -> Result<IndexedRows> {
+      switch (node->kind) {
+        case PlanKind::kScan: return ScanIndexed(*node);
+        case PlanKind::kSemiJoinReduce: return SemiJoinIndexed(*node);
+        default: return HashJoinIndexed(*node);
+      }
+    });
+  }
+
+  /// The bookkeeping of every operator, whatever form its output takes:
+  /// the op-open fault point, self time (children excluded), and rows in
+  /// and out.
+  template <typename Out, typename Body>
+  Result<Out> Instrumented(const PlanNode& node, const Body& body) {
     if (track_) TPCDS_FAULT_POINT("op-open");
     double saved_child = child_seconds_;
     child_seconds_ = 0;
     double start = NowSeconds();
-    Result<std::shared_ptr<RowSet>> result = Dispatch(*node);
+    Result<Out> result = body();
     double total = NowSeconds() - start;
-    node->stats.executed = true;
-    node->stats.seconds = total - child_seconds_;
+    node.stats.executed = true;
+    node.stats.seconds = total - child_seconds_;
     child_seconds_ = saved_child + total;
     if (!result.ok()) return result;
     // Morsel workers don't propagate errors themselves — a tripped
@@ -334,15 +450,19 @@ class PlanExecutor : public SubqueryEvaluator {
     // partial operator output behind, which must never be returned as a
     // real result.
     if (governor_->cancelled()) return governor_->status();
-    if (!node->children.empty()) {
+    if (!node.children.empty()) {
       int64_t in = 0;
-      for (const auto& c : node->children) in += c->stats.rows_out;
-      node->stats.rows_in = in;
+      for (const auto& c : node.children) in += c->stats.rows_out;
+      node.stats.rows_in = in;
     }
-    node->stats.rows_out = static_cast<int64_t>((*result)->rows.size());
-    if (node->memoize) memo_[node.get()] = *result;
+    node.stats.rows_out = static_cast<int64_t>(RowCount(*result));
     return result;
   }
+
+  static size_t RowCount(const std::shared_ptr<RowSet>& rs) {
+    return rs->rows.size();
+  }
+  static size_t RowCount(const IndexedRows& rows) { return rows.size(); }
 
   Result<std::shared_ptr<RowSet>> Dispatch(const PlanNode& node) {
     switch (node.kind) {
@@ -350,8 +470,12 @@ class PlanExecutor : public SubqueryEvaluator {
       case PlanKind::kCteRef: return ExecCteRef(node);
       case PlanKind::kDerived: return ExecDerived(node);
       case PlanKind::kIndexJoin: return ExecIndexJoin(node);
-      case PlanKind::kSemiJoinReduce: return ExecSemiJoinReduce(node);
-      case PlanKind::kHashJoin: return ExecHashJoin(node);
+      case PlanKind::kSemiJoinReduce:
+        if (Indexable(node)) return Materialize(SemiJoinIndexed(node));
+        return ExecSemiJoinReduce(node);
+      case PlanKind::kHashJoin:
+        if (Indexable(node)) return Materialize(HashJoinIndexed(node));
+        return ExecHashJoin(node);
       case PlanKind::kFilter: return ExecFilter(node);
       case PlanKind::kAggregate: return ExecAggregate(node);
       case PlanKind::kWindow: return ExecWindow(node);
@@ -410,16 +534,24 @@ class PlanExecutor : public SubqueryEvaluator {
     pool_->WaitIdle();
   }
 
-  /// Runs fn(begin, end, morsel_index) over [0, n) in kBatchRows morsels.
-  /// Each morsel passes the governor's boundary check (cancellation token,
-  /// deadline, "morsel" fault site) before it runs — the unit of
-  /// responsiveness the limits are specified in.
+  /// Runs fn(unit) for each of `count` morsel-sized work units. Each unit
+  /// passes the governor's boundary check (cancellation token, deadline,
+  /// "morsel" fault site) before it runs — the unit of responsiveness the
+  /// limits are specified in.
   template <typename Fn>
-  void ForEachMorsel(size_t n, const Fn& fn) {
+  void ForEachUnit(size_t count, const Fn& fn) {
     QueryGovernor* gov = governor_;
     bool checked = track_;
-    ParallelFor(MorselCount(n), [&fn, gov, checked, n](size_t m) {
+    ParallelFor(count, [&fn, gov, checked](size_t u) {
       if (checked && !gov->BeginMorsel()) return;
+      fn(u);
+    });
+  }
+
+  /// Runs fn(begin, end, morsel_index) over [0, n) in kBatchRows morsels.
+  template <typename Fn>
+  void ForEachMorsel(size_t n, const Fn& fn) {
+    ForEachUnit(MorselCount(n), [&fn, n](size_t m) {
       size_t b = m * kBatchRows;
       fn(b, std::min(n, b + kBatchRows), m);
     });
@@ -490,23 +622,79 @@ class PlanExecutor : public SubqueryEvaluator {
     int64_t hi = 0;
   };
 
-  Result<std::shared_ptr<RowSet>> ExecScan(const PlanNode& node) {
+  /// The join-key filters registered on `node`, or nullptr.
+  const std::vector<ScanPushdown>* PushdownsOf(const PlanNode& node) const {
+    auto it = pushdowns_.find(&node);
+    return it != pushdowns_.end() && !it->second.empty() ? &it->second
+                                                         : nullptr;
+  }
+
+  Result<EngineTable*> ScanTable(const PlanNode& node) const {
     EngineTable* table = facade_->FindTable(node.table_name);
     if (table == nullptr) {
       return Status::NotFound("unknown table: " + node.table_name);
     }
-    const std::vector<ScanPushdown>* pushdowns = nullptr;
-    auto pit = pushdowns_.find(&node);
-    if (pit != pushdowns_.end() && !pit->second.empty()) {
-      pushdowns = &pit->second;
+    return table;
+  }
+
+  /// True when `node` can hand its rows to the join above it in index
+  /// form: on the vectorized path, an unshared scan without residual
+  /// predicates, or an unshared star semi-join or equi hash join without
+  /// residual predicates, over such a node, that reads its probe keys as
+  /// bare columns.
+  bool Indexable(const PlanNode& node) const {
+    if (!options_.vectorized_execution || node.memoize) return false;
+    switch (node.kind) {
+      case PlanKind::kScan: {
+        const EngineTable* table = facade_->FindTable(node.table_name);
+        return table != nullptr && node.residual_predicates.empty() &&
+               static_cast<uint64_t>(table->num_rows()) < KeyTable::kNone;
+      }
+      case PlanKind::kSemiJoinReduce:
+        return node.fact_key->tag == Expr::Tag::kColumnRef &&
+               Indexable(*node.children[0]);
+      case PlanKind::kHashJoin:
+        if (node.equi.empty() || !node.residual.empty()) return false;
+        for (const PlanEquiKey& key : node.equi) {
+          if (key.left->tag != Expr::Tag::kColumnRef) return false;
+        }
+        return Indexable(*node.children[0]);
+      default:
+        return false;
     }
-    if (options_.vectorized_execution &&
-        (!node.kernels.empty() || pushdowns != nullptr) &&
-        static_cast<uint64_t>(table->num_rows()) <= UINT32_MAX) {
-      return ExecScanVectorized(node, table, pushdowns);
-    }
+  }
+
+  Result<std::shared_ptr<RowSet>> ExecScan(const PlanNode& node) {
+    TPCDS_ASSIGN_OR_RETURN(EngineTable* table, ScanTable(node));
     RowSet scope;
     scope.cols = node.schema;
+    // A scan whose every filter stays residual has nothing to select on
+    // raw storage: it keeps the row path.
+    if (options_.vectorized_execution &&
+        static_cast<uint64_t>(table->num_rows()) < KeyTable::kNone &&
+        (node.residual_predicates.empty() || !node.kernels.empty() ||
+         PushdownsOf(node) != nullptr)) {
+      if (node.residual_predicates.empty()) {
+        return Materialize(ScanIndexed(node));
+      }
+      // Selection on raw storage, then the residual expr_eval predicates
+      // over the rows that survive it.
+      TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> residual,
+                             BindAll(node.residual_predicates, scope));
+      auto rs = std::make_shared<RowSet>();
+      rs->cols = node.schema;
+      std::vector<RowList> bufs(MorselCount(table->num_rows()));
+      SelectRows(node, *table, [&](size_t m, SelectionVector& sel) {
+        RowList& buf = bufs[m];
+        std::vector<Value> row;
+        for (uint32_t r : sel) {
+          if (BoxPassing(*table, node, r, residual, &row)) buf.push_back(row);
+        }
+        ChargeRows(buf);
+      });
+      ConcatMorsels(&bufs, &rs->rows);
+      return rs;
+    }
     TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> filters,
                            BindAll(node.predicates, scope));
 
@@ -530,12 +718,7 @@ class PlanExecutor : public SubqueryEvaluator {
       RowList& buf = bufs[m];
       std::vector<Value> row;
       for (size_t r = b; r < e; ++r) {
-        row.clear();
-        row.reserve(node.scan_cols.size());
-        for (int c : node.scan_cols) {
-          row.push_back(table->GetValue(static_cast<int64_t>(r), c));
-        }
-        if (PassesAll(filters, row)) buf.push_back(row);
+        if (BoxPassing(*table, node, r, filters, &row)) buf.push_back(row);
       }
       ChargeRows(buf);
     });
@@ -543,26 +726,108 @@ class PlanExecutor : public SubqueryEvaluator {
     return rs;
   }
 
-  /// Columnar fast path: each morsel starts from an identity selection
-  /// vector, zone maps prune whole morsels first, typed kernels and pushed
-  /// join-key filters compact the selection on the raw storage vectors, and
-  /// only surviving rows are materialised as Values (through the residual
-  /// expr_eval predicates, when any). Governance boundaries are identical
-  /// to the fallback path: BeginMorsel per morsel, ChargeRows on the
-  /// materialised output.
-  Result<std::shared_ptr<RowSet>> ExecScanVectorized(
-      const PlanNode& node, EngineTable* table,
-      const std::vector<ScanPushdown>* pushdowns) {
-    RowSet scope;
-    scope.cols = node.schema;
-    TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> residual,
-                           BindAll(node.residual_predicates, scope));
+  /// Boxes the scanned columns of table row `r` into *row; true when the
+  /// row passes `preds`.
+  static bool BoxPassing(const EngineTable& table, const PlanNode& node,
+                         size_t r,
+                         const std::vector<std::unique_ptr<BoundExpr>>& preds,
+                         std::vector<Value>* row) {
+    row->clear();
+    row->reserve(node.scan_cols.size());
+    for (int c : node.scan_cols) {
+      row->push_back(table.GetValue(static_cast<int64_t>(r), c));
+    }
+    return PassesAll(preds, *row);
+  }
 
-    auto rs = std::make_shared<RowSet>();
-    rs->cols = node.schema;
-    int64_t n = table->num_rows();
+  /// A vectorized scan in index form: its selection vectors, one chunk
+  /// per morsel that kept rows. Nothing is gathered; the rows count
+  /// against the row budget here, and their indices against the memory
+  /// budget.
+  Result<IndexedRows> ScanIndexed(const PlanNode& node) {
+    TPCDS_ASSIGN_OR_RETURN(EngineTable* table, ScanTable(node));
+    IndexedRows out;
+    out.cols = node.schema;
+    out.table = table;
+    out.scan_cols = &node.scan_cols;
+    out.widths = {node.scan_cols.size()};
+    out.chunks.resize(MorselCount(table->num_rows()));
+    SelectRows(node, *table, [&](size_t m, SelectionVector& sel) {
+      ChargeIndexRows(sel.size(), 1);
+      out.chunks[m] = std::move(sel);
+    });
+    out.DropEmptyChunks();
+    return out;
+  }
+
+  /// Charges `rows` freshly produced index tuples of `sources` indices
+  /// against the row and memory budgets, as ChargeRows does boxed rows.
+  void ChargeIndexRows(size_t rows, size_t sources) {
+    if (!track_ || rows == 0) return;
+    if (!governor_->ChargeRows(static_cast<int64_t>(rows))) return;
+    governor_->Reserve(
+        static_cast<int64_t>(rows * sources * sizeof(uint32_t)));
+  }
+
+  /// Boxes the index form's rows, once, at the top of a join pipeline:
+  /// chunk by chunk into their final slots, source 0's columns gathered
+  /// from storage a column at a time, then each build source's row, or
+  /// NULLs for a LEFT JOIN miss. The rows were counted where they were
+  /// produced; their bytes are charged here.
+  Result<std::shared_ptr<RowSet>> Materialize(Result<IndexedRows> result) {
+    TPCDS_ASSIGN_OR_RETURN(IndexedRows in, std::move(result));
+    auto out = std::make_shared<RowSet>();
+    out->cols = std::move(in.cols);
+    size_t k = in.sources();
+    size_t width = 0;
+    for (size_t w : in.widths) width += w;
+    std::vector<size_t> offset(in.chunks.size() + 1, 0);
+    for (size_t c = 0; c < in.chunks.size(); ++c) {
+      offset[c + 1] = offset[c] + in.chunks[c].size() / k;
+    }
+    out->rows.resize(offset.back());
+    ForEachUnit(in.chunks.size(), [&](size_t c) {
+      const std::vector<uint32_t>& chunk = in.chunks[c];
+      size_t n = chunk.size() / k;
+      std::vector<Value>* rows = &out->rows[offset[c]];
+      for (size_t i = 0; i < n; ++i) rows[i].reserve(width);
+      GatherRows(*in.table, *in.scan_cols, chunk.data(), n, k, rows);
+      for (size_t s = 1; s < k; ++s) {
+        const RowList& build = in.builds[s - 1]->rows;
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t r = chunk[i * k + s];
+          if (r == KeyTable::kNone) {
+            rows[i].resize(rows[i].size() + in.widths[s]);
+          } else {
+            rows[i].insert(rows[i].end(), build[r].begin(), build[r].end());
+          }
+        }
+      }
+      if (track_) {
+        int64_t bytes = 0;
+        for (size_t i = 0; i < n; ++i) bytes += ApproxRowBytes(rows[i]);
+        governor_->Reserve(bytes);
+      }
+    });
+    return out;
+  }
+
+  /// The selection every vectorized scan runs: zone maps prune whole
+  /// morsels first, then typed kernels and pushed join-key filters compact
+  /// each remaining morsel's identity selection on the raw storage
+  /// vectors, and emit(morsel, selection) runs in the morsel's task.
+  /// Counts the scan's work: every table row scanned, the payload of the
+  /// morsels read, morsels pruned and Bloom rejects.
+  template <typename Emit>
+  void SelectRows(const PlanNode& node, EngineTable& table,
+                  const Emit& emit) {
+    const std::vector<ScanPushdown>* pushdowns = PushdownsOf(node);
+    int64_t n = table.num_rows();
+    // A scan with neither kernels nor pushdowns filters nothing on raw
+    // storage: no morsel can be pruned.
+    const bool prunable = !node.kernels.empty() || pushdowns != nullptr;
     node.stats.rows_in = n;
-    node.stats.vectorized = true;
+    if (prunable) node.stats.vectorized = true;
     if (stats_ != nullptr) stats_->rows_scanned += n;
 
     // Zone-map checks, one per prunable kernel and pushed key range. Built
@@ -584,7 +849,7 @@ class PlanExecutor : public SubqueryEvaluator {
           k.kind != ScanKernel::Kind::kNullTest) {
         continue;
       }
-      const ZoneMap* zm = table->GetOrBuildZoneMap(k.col);
+      const ZoneMap* zm = table.GetOrBuildZoneMap(k.col);
       if (zm != nullptr) kernel_zones.push_back({zm, &k});
     }
     struct RangeZone {
@@ -596,7 +861,7 @@ class PlanExecutor : public SubqueryEvaluator {
     if (pushdowns != nullptr) {
       for (const ScanPushdown& pd : *pushdowns) {
         if (!pd.has_range) continue;
-        const ZoneMap* zm = table->GetOrBuildZoneMap(pd.col);
+        const ZoneMap* zm = table.GetOrBuildZoneMap(pd.col);
         if (zm != nullptr) range_zones.push_back({zm, pd.lo, pd.hi});
       }
     }
@@ -604,7 +869,8 @@ class PlanExecutor : public SubqueryEvaluator {
     // Morsel-granular payload accounting: the storage columns this scan
     // reads (output + kernel + pushdown), charged per non-pruned morsel in
     // proportion to its rows. Integer math on fixed morsel boundaries, so
-    // the total is identical at any parallelism.
+    // the total is identical at any parallelism. A scan nothing can prune
+    // reads its columns in full and is charged exactly that.
     std::vector<int> touched_cols = node.scan_cols;
     for (const ScanKernel& k : node.kernels) touched_cols.push_back(k.col);
     if (pushdowns != nullptr) {
@@ -617,13 +883,12 @@ class PlanExecutor : public SubqueryEvaluator {
     int64_t touched_payload = 0;
     for (int c : touched_cols) {
       touched_payload += static_cast<int64_t>(
-          table->column(static_cast<size_t>(c)).PayloadByteSize());
+          table.column(static_cast<size_t>(c)).PayloadByteSize());
     }
 
     std::atomic<int64_t> pruned{0};
     std::atomic<int64_t> rejects{0};
-    std::atomic<int64_t> bytes{0};
-    std::vector<RowList> bufs(MorselCount(static_cast<size_t>(n)));
+    std::atomic<int64_t> bytes{prunable ? 0 : touched_payload};
     ForEachMorsel(static_cast<size_t>(n), [&](size_t b, size_t e, size_t m) {
       if (always_false) {
         pruned.fetch_add(1, std::memory_order_relaxed);
@@ -643,37 +908,23 @@ class PlanExecutor : public SubqueryEvaluator {
           return;
         }
       }
-      bytes.fetch_add(touched_payload * static_cast<int64_t>(e - b) / n,
-                      std::memory_order_relaxed);
+      if (prunable) {
+        bytes.fetch_add(touched_payload * static_cast<int64_t>(e - b) / n,
+                        std::memory_order_relaxed);
+      }
       SelectionVector sel;
       sel.reserve(e - b);
       for (size_t r = b; r < e; ++r) sel.push_back(static_cast<uint32_t>(r));
       for (const ScanKernel& k : node.kernels) {
         if (sel.empty()) break;
-        ApplyScanKernel(k, table->column(static_cast<size_t>(k.col)), &sel);
+        ApplyScanKernel(k, table.column(static_cast<size_t>(k.col)), &sel);
       }
       if (pushdowns != nullptr && !sel.empty()) {
-        int64_t removed = ApplyPushdowns(*table, *pushdowns, &sel);
+        int64_t removed = ApplyPushdowns(table, *pushdowns, &sel);
         rejects.fetch_add(removed, std::memory_order_relaxed);
       }
-      RowList& buf = bufs[m];
-      if (residual.empty()) {
-        GatherRows(*table, node.scan_cols, sel, &buf);
-      } else {
-        buf.reserve(sel.size());
-        std::vector<Value> row;
-        for (uint32_t r : sel) {
-          row.clear();
-          row.reserve(node.scan_cols.size());
-          for (int c : node.scan_cols) {
-            row.push_back(table->GetValue(static_cast<int64_t>(r), c));
-          }
-          if (PassesAll(residual, row)) buf.push_back(row);
-        }
-      }
-      ChargeRows(buf);
+      emit(m, sel);
     });
-    ConcatMorsels(&bufs, &rs->rows);
     node.stats.morsels_pruned += pruned.load();
     node.stats.bloom_rejects += rejects.load();
     node.stats.bytes_touched += bytes.load();
@@ -682,7 +933,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->bloom_rejects += rejects.load();
       stats_->bytes_touched += bytes.load();
     }
-    return rs;
   }
 
   /// Applies every registered join-key pushdown to the selection vector.
@@ -922,6 +1172,46 @@ class PlanExecutor : public SubqueryEvaluator {
     return !unsupported.load();
   }
 
+  /// ProbeTypedKeys over the index form: (*first)[c][i] becomes the first
+  /// build row whose key equals that of row i of chunk c, else
+  /// KeyTable::kNone. A key column that stores the build side's words is
+  /// read straight from storage.
+  bool ProbeTypedIndexed(const TypedKeys& keys, const IndexedCol& col,
+                         const IndexedRows& in,
+                         std::vector<std::vector<uint32_t>>* first) {
+    size_t k = in.sources();
+    first->assign(in.chunks.size(), {});
+    const bool words = col.HoldsWords(keys.kind);
+    const int64_t* nums = words ? col.storage->nums().data() : nullptr;
+    const uint8_t* nulls = words ? col.storage->nulls().data() : nullptr;
+    std::atomic<bool> unsupported{false};
+    ForEachUnit(in.chunks.size(), [&](size_t c) {
+      const std::vector<uint32_t>& chunk = in.chunks[c];
+      std::vector<uint32_t>& f = (*first)[c];
+      f.assign(chunk.size() / k, KeyTable::kNone);
+      for (size_t i = 0; i < f.size(); ++i) {
+        const uint32_t* tuple = &chunk[i * k];
+        if (words) {
+          uint32_t r = tuple[0];
+          if (nulls[r] == 0) f[i] = keys.table.Find(nums[r]);
+          continue;
+        }
+        int64_t word = 0;
+        switch (ProbeWord(keys.kind, col.Get(tuple), &word)) {
+          case StorageEq::kExact:
+            f[i] = keys.table.Find(word);
+            break;
+          case StorageEq::kNoMatch:
+            break;
+          case StorageEq::kUnsupported:
+            unsupported.store(true, std::memory_order_relaxed);
+            return;
+        }
+      }
+    });
+    return !unsupported.load();
+  }
+
   /// BuildKeyPushdown's key visitors over boxed and typed key sets.
   static auto BoxedKeysOf(const ValueSet& keys) {
     return [&keys](const auto& admit) {
@@ -953,13 +1243,41 @@ class PlanExecutor : public SubqueryEvaluator {
     return keys;
   }
 
-  Result<std::shared_ptr<RowSet>> ExecSemiJoinReduce(const PlanNode& node) {
-    // Vectorized path: when the fact side bottoms out in a private scan
-    // and the reduction key is a bare column, run the dimension first and
-    // push its key set (min/max range + Bloom filter) into that scan, so
-    // most non-qualifying fact rows are never materialised. The exact
-    // key-set check below still runs over whatever the scan produced, so
-    // results are byte-identical to the unpushed order.
+  /// Runs `exec` with `pd`, when given, registered on the scan `target`,
+  /// and unregisters it before any error propagates.
+  template <typename ExecFn>
+  auto WithPushdown(const PlanNode* target, const ScanPushdown* pd,
+                    const ExecFn& exec) {
+    if (pd != nullptr) pushdowns_[target].push_back(*pd);
+    auto result = exec();
+    if (pd != nullptr) {
+      auto it = pushdowns_.find(target);
+      it->second.pop_back();
+      if (it->second.empty()) pushdowns_.erase(it);
+    }
+    return result;
+  }
+
+  /// A star semi-join's dimension side: its rows and their distinct keys,
+  /// a typed key set on the vectorized path when the keys allow one, else
+  /// boxed values.
+  struct SemiKeys {
+    std::shared_ptr<RowSet> dim;
+    std::optional<TypedKeys> typed;
+    ValueSet boxed;
+  };
+
+  /// Runs a star semi-join's two inputs; `exec_fact` runs the fact side,
+  /// boxed or in index form. On the vectorized path, when the fact side
+  /// bottoms out in a private scan and the reduction key is a bare column,
+  /// the dimension runs first and its key set (min/max range + Bloom
+  /// filter) is pushed into that scan, so most non-qualifying fact rows
+  /// are never produced. The exact key-set check still runs over whatever
+  /// the scan produced, so results are byte-identical to the unpushed
+  /// order.
+  template <typename Fact, typename ExecFact>
+  Status SemiJoinInputs(const PlanNode& node, const ExecFact& exec_fact,
+                        Fact* fact, SemiKeys* keys) {
     const bool vec = options_.vectorized_execution;
     const PlanNode* target = nullptr;
     int pd_col = -1;
@@ -973,89 +1291,102 @@ class PlanExecutor : public SubqueryEvaluator {
         if (pd_table == nullptr) target = nullptr;
       }
     }
-
-    // The dimension's distinct keys: a typed key set on the vectorized
-    // path when the keys allow one, else boxed values.
-    std::shared_ptr<RowSet> fact, dim;
-    std::optional<TypedKeys> typed;
-    ValueSet keys;
     auto collect = [&]() -> Status {
       if (vec) {
-        TPCDS_ASSIGN_OR_RETURN(KeyReader key, BindKey(*node.dim_key, *dim));
-        typed = BuildTypedKeys(key, *dim, /*chain=*/false);
-        if (typed) return Status::OK();
+        TPCDS_ASSIGN_OR_RETURN(KeyReader key,
+                               BindKey(*node.dim_key, *keys->dim));
+        keys->typed = BuildTypedKeys(key, *keys->dim, /*chain=*/false);
+        if (keys->typed) return Status::OK();
       }
-      TPCDS_ASSIGN_OR_RETURN(keys, CollectKeys(*node.dim_key, *dim));
+      TPCDS_ASSIGN_OR_RETURN(keys->boxed,
+                             CollectKeys(*node.dim_key, *keys->dim));
       return Status::OK();
     };
-    if (target != nullptr) {
-      TPCDS_ASSIGN_OR_RETURN(dim, Exec(node.children[1]));
-      TPCDS_RETURN_NOT_OK(collect());
-      int64_t distinct =
-          static_cast<int64_t>(typed ? typed->table.size() : keys.size());
-      BloomFilter bloom(static_cast<size_t>(distinct));
-      ScanPushdown pd;
-      pd.col = pd_col;
-      const StorageColumn& col = pd_table->column(static_cast<size_t>(pd_col));
-      // Only push a selective key set; a reduction whose key set rivals
-      // the fact table in size rejects almost nothing at the scan.
-      bool registered =
-          ShouldPushKeys(distinct, *pd_table) &&
-          (typed ? BuildKeyPushdown(TypedKeysOf(*typed), col, &bloom, &pd)
-                 : BuildKeyPushdown(BoxedKeysOf(keys), col, &bloom, &pd));
-      if (registered) {
-        pushdowns_[target].push_back(pd);
-        node.stats.vectorized = true;
-      }
-      Result<std::shared_ptr<RowSet>> fr = ExecOwned(node.children[0]);
-      if (registered) {  // unregister before any error propagates
-        auto it = pushdowns_.find(target);
-        it->second.pop_back();
-        if (it->second.empty()) pushdowns_.erase(it);
-      }
-      TPCDS_ASSIGN_OR_RETURN(fact, std::move(fr));
-    } else {
-      TPCDS_ASSIGN_OR_RETURN(fact, ExecOwned(node.children[0]));
-      TPCDS_ASSIGN_OR_RETURN(dim, Exec(node.children[1]));
-      TPCDS_RETURN_NOT_OK(collect());
+    if (target == nullptr) {
+      TPCDS_ASSIGN_OR_RETURN(*fact, exec_fact());
+      TPCDS_ASSIGN_OR_RETURN(keys->dim, Exec(node.children[1]));
+      return collect();
     }
+    TPCDS_ASSIGN_OR_RETURN(keys->dim, Exec(node.children[1]));
+    TPCDS_RETURN_NOT_OK(collect());
+    const std::optional<TypedKeys>& typed = keys->typed;
+    int64_t distinct =
+        static_cast<int64_t>(typed ? typed->table.size() : keys->boxed.size());
+    BloomFilter bloom(static_cast<size_t>(distinct));
+    ScanPushdown pd;
+    pd.col = pd_col;
+    const StorageColumn& col = pd_table->column(static_cast<size_t>(pd_col));
+    // Only push a selective key set; a reduction whose key set rivals
+    // the fact table in size rejects almost nothing at the scan.
+    bool registered =
+        ShouldPushKeys(distinct, *pd_table) &&
+        (typed ? BuildKeyPushdown(TypedKeysOf(*typed), col, &bloom, &pd)
+               : BuildKeyPushdown(BoxedKeysOf(keys->boxed), col, &bloom, &pd));
+    if (registered) node.stats.vectorized = true;
+    TPCDS_ASSIGN_OR_RETURN(
+        *fact, WithPushdown(target, registered ? &pd : nullptr, exec_fact));
+    return Status::OK();
+  }
+
+  /// The star semi-join's boxed key set, reconciled with the kind of the
+  /// fact keys: where dates meet strings, the string side goes through
+  /// DateKey — the dimension's keys once, or each fact key as it is read.
+  struct BoxedKeySet {
+    ValueSet keys;
+    bool date_probe = false;
+
+    bool Contains(Value v) const {
+      if (date_probe) v = DateKey(std::move(v));
+      return !v.is_null() && keys.find(v) != keys.end();
+    }
+  };
+
+  static BoxedKeySet ReconcileKeys(ValueSet keys, Value::Kind fact_kind) {
+    Value::Kind dim_kind =
+        keys.empty() ? Value::Kind::kNull : keys.begin()->kind();
+    BoxedKeySet set;
+    set.date_probe =
+        dim_kind == Value::Kind::kDate && fact_kind == Value::Kind::kString;
+    if (dim_kind != Value::Kind::kString || fact_kind != Value::Kind::kDate) {
+      set.keys = std::move(keys);
+      return set;
+    }
+    for (const Value& k : keys) {
+      Value d = DateKey(k);
+      if (!d.is_null()) set.keys.insert(std::move(d));
+    }
+    return set;
+  }
+
+  Result<std::shared_ptr<RowSet>> ExecSemiJoinReduce(const PlanNode& node) {
+    std::shared_ptr<RowSet> fact;
+    SemiKeys keys;
+    TPCDS_RETURN_NOT_OK(SemiJoinInputs(
+        node, [&] { return ExecOwned(node.children[0]); }, &fact, &keys));
 
     // hit[r] != KeyTable::kNone keeps fact row r.
     std::vector<uint32_t> hit;
-    if (typed) {
+    if (keys.typed) {
       TPCDS_ASSIGN_OR_RETURN(KeyReader fact_key,
                              BindKey(*node.fact_key, *fact));
-      if (!ProbeTypedKeys(*typed, fact_key, *fact, &hit)) {
-        typed.reset();
-        TPCDS_ASSIGN_OR_RETURN(keys, CollectKeys(*node.dim_key, *dim));
+      if (!ProbeTypedKeys(*keys.typed, fact_key, *fact, &hit)) {
+        keys.typed.reset();
+        TPCDS_ASSIGN_OR_RETURN(keys.boxed,
+                               CollectKeys(*node.dim_key, *keys.dim));
       }
     }
     size_t before = fact->rows.size();
-    if (!typed) {
+    if (!keys.typed) {
       TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> fact_key,
                              BindExpr(*node.fact_key, *fact, this));
-      // Where dates meet strings, the string side goes through DateKey.
-      Value::Kind fact_kind = FirstKind(
-          before, [&](size_t r) { return fact_key->Eval(fact->rows[r]); });
-      Value::Kind dim_kind =
-          keys.empty() ? Value::Kind::kNull : keys.begin()->kind();
-      if (dim_kind == Value::Kind::kString &&
-          fact_kind == Value::Kind::kDate) {
-        ValueSet dates;
-        for (const Value& k : keys) {
-          Value d = DateKey(k);
-          if (!d.is_null()) dates.insert(std::move(d));
-        }
-        keys = std::move(dates);
-      }
-      const bool fact_date_keys = dim_kind == Value::Kind::kDate &&
-                                  fact_kind == Value::Kind::kString;
+      BoxedKeySet set = ReconcileKeys(
+          std::move(keys.boxed), FirstKind(before, [&](size_t r) {
+            return fact_key->Eval(fact->rows[r]);
+          }));
       hit.assign(before, KeyTable::kNone);
       ForEachMorsel(before, [&](size_t b, size_t e, size_t) {
         for (size_t r = b; r < e; ++r) {
-          Value v = fact_key->Eval(fact->rows[r]);
-          if (fact_date_keys) v = DateKey(std::move(v));
-          if (!v.is_null() && keys.find(v) != keys.end()) hit[r] = 0;
+          if (set.Contains(fact_key->Eval(fact->rows[r]))) hit[r] = 0;
         }
       });
     }
@@ -1073,6 +1404,48 @@ class PlanExecutor : public SubqueryEvaluator {
     if (stats_ != nullptr) {
       stats_->star_filtered_rows +=
           static_cast<int64_t>(before - fact->rows.size());
+    }
+    return fact;
+  }
+
+  /// The star semi-join in index form: keeps the fact side's tuples whose
+  /// key is in the dimension's key set, chunk by chunk, in place.
+  Result<IndexedRows> SemiJoinIndexed(const PlanNode& node) {
+    IndexedRows fact;
+    SemiKeys keys;
+    TPCDS_RETURN_NOT_OK(SemiJoinInputs(
+        node, [&] { return ExecIndexed(node.children[0]); }, &fact, &keys));
+    TPCDS_ASSIGN_OR_RETURN(IndexedCol col,
+                           ResolveIndexed(fact, *node.fact_key));
+    std::vector<std::vector<uint32_t>> hit;
+    if (keys.typed && !ProbeTypedIndexed(*keys.typed, col, fact, &hit)) {
+      keys.typed.reset();
+      TPCDS_ASSIGN_OR_RETURN(keys.boxed,
+                             CollectKeys(*node.dim_key, *keys.dim));
+    }
+    std::optional<BoxedKeySet> set;
+    if (!keys.typed) {
+      set = ReconcileKeys(std::move(keys.boxed), FirstKind(fact, col));
+    }
+    size_t before = fact.size();
+    size_t k = fact.sources();
+    ForEachUnit(fact.chunks.size(), [&](size_t c) {
+      std::vector<uint32_t>& chunk = fact.chunks[c];
+      size_t w = 0;
+      for (size_t i = 0; i * k < chunk.size(); ++i) {
+        const uint32_t* tuple = &chunk[i * k];
+        if (set ? !set->Contains(col.Get(tuple))
+                : hit[c][i] == KeyTable::kNone) {
+          continue;
+        }
+        for (size_t s = 0; s < k; ++s) chunk[w++] = tuple[s];
+      }
+      chunk.resize(w);
+    });
+    fact.DropEmptyChunks();
+    if (stats_ != nullptr) {
+      stats_->star_filtered_rows +=
+          static_cast<int64_t>(before - fact.size());
     }
     return fact;
   }
@@ -1116,40 +1489,65 @@ class PlanExecutor : public SubqueryEvaluator {
     return bkeys;
   }
 
-  /// The boxed table, for multi-column, string and mixed-kind keys and for
-  /// the row-at-a-time reference path. Build rows are assigned to a fixed
-  /// number of partitions by key hash (serially, cheap), then each
-  /// partition's unordered_map from boxed key to its first and last build
-  /// row is built in parallel. Fills `first` as ProbeTypedKeys does, and
-  /// `next` with each build row's successor under its key, as KeyTable
-  /// chains them. On the vectorized path a join-level Bloom filter over
-  /// the build hashes rejects unmatchable probe keys before the table
-  /// lookup; returns the number of probe rows it rejected.
-  Result<int64_t> ProbeBoxedKeys(const PlanNode& node, const RowSet& left,
-                                 std::vector<BuildKey>* bkeys,
-                                 std::vector<uint32_t>* first,
-                                 std::vector<uint32_t>* next) {
-    std::vector<std::unique_ptr<BoundExpr>> lkeys;
-    lkeys.reserve(node.equi.size());
-    for (const PlanEquiKey& pair : node.equi) {
-      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> l,
-                             BindExpr(*pair.left, left, this));
-      lkeys.push_back(std::move(l));
+  /// The boxed join table, for multi-column, string and mixed-kind keys
+  /// and for the row-at-a-time reference path: per partition, an
+  /// unordered_map from boxed key to its first and last build row, and
+  /// `next`, each build row's successor under its key, as KeyTable chains
+  /// them. On the vectorized path a join-level Bloom filter over the build
+  /// hashes rejects unmatchable probe keys before the table lookup.
+  struct BoxedTable {
+    struct Chain {
+      uint32_t head;
+      uint32_t tail;
+    };
+    using Partition = std::unordered_map<std::vector<Value>, Chain,
+                                         VecValueHash, VecValueEq>;
+    std::vector<Partition> parts;
+    std::vector<uint32_t> next;
+    std::optional<BloomFilter> bloom;
+    std::vector<bool> date_probe;  // probe key i goes through DateKey
+
+    /// The first build row whose key equals `key`, one probe row's keys,
+    /// else KeyTable::kNone. A Bloom filter rejection counts in *rejects.
+    uint32_t Find(std::vector<Value>* key, int64_t* rejects) const {
+      bool has_null = false;
+      for (size_t i = 0; i < key->size(); ++i) {
+        if (date_probe[i]) (*key)[i] = DateKey(std::move((*key)[i]));
+        has_null |= (*key)[i].is_null();
+      }
+      if (has_null) return KeyTable::kNone;
+      size_t h = VecValueHash()(*key);
+      if (bloom && !bloom->MayContain(h)) {
+        ++*rejects;  // definitely absent from the build side
+        return KeyTable::kNone;
+      }
+      const Partition& t = parts[h % kJoinPartitions];
+      auto it = t.find(*key);
+      return it != t.end() ? it->second.head : KeyTable::kNone;
     }
+  };
+
+  /// Builds the boxed table over `bkeys` (consumed). Build rows are
+  /// assigned to a fixed number of partitions by key hash (serially,
+  /// cheap), then each partition's map is built in parallel.
+  /// `probe_kinds[i]` is the kind of probe key i (FirstKind): where one
+  /// side's keys are dates and the other's strings, the string side goes
+  /// through DateKey, build keys here and probe keys in Find. The Bloom
+  /// filter only pays off with fewer build rows than `probe_rows`: each
+  /// build row costs one insert.
+  BoxedTable BuildBoxedTable(std::vector<BuildKey>* bkeys,
+                             const std::vector<Value::Kind>& probe_kinds,
+                             size_t probe_rows) {
     size_t nr = bkeys->size();
-    size_t nl = left.rows.size();
-    // Where one side's keys are dates and the other's strings, the string
-    // side goes through DateKey: build keys here, probe keys as they are
-    // read.
-    std::vector<bool> probe_date_keys(lkeys.size(), false);
-    for (size_t i = 0; i < lkeys.size(); ++i) {
+    BoxedTable t;
+    t.date_probe.assign(probe_kinds.size(), false);
+    for (size_t i = 0; i < probe_kinds.size(); ++i) {
       Value::Kind build = FirstKind(nr, [&](size_t r) {
         const std::vector<Value>& key = (*bkeys)[r].key;
         return i < key.size() ? key[i] : Value();
       });
-      Value::Kind probe = FirstKind(
-          nl, [&](size_t r) { return lkeys[i]->Eval(left.rows[r]); });
-      probe_date_keys[i] =
+      Value::Kind probe = probe_kinds[i];
+      t.date_probe[i] =
           build == Value::Kind::kDate && probe == Value::Kind::kString;
       if (build != Value::Kind::kString || probe != Value::Kind::kDate) {
         continue;
@@ -1161,64 +1559,61 @@ class PlanExecutor : public SubqueryEvaluator {
         if (!bk.has_null) bk.hash = VecValueHash()(bk.key);
       }
     }
-    // Only worthwhile when the build side is smaller than the probe side:
-    // each build row costs one insert, so with fewer probe rows than build
-    // rows the filter can never pay for itself.
-    std::optional<BloomFilter> bloom;
-    if (options_.vectorized_execution && nr < nl) bloom.emplace(nr);
+    if (options_.vectorized_execution && nr < probe_rows) t.bloom.emplace(nr);
     std::vector<std::vector<uint32_t>> part_rows(kJoinPartitions);
     for (size_t r = 0; r < nr; ++r) {
       const BuildKey& bk = (*bkeys)[r];
       if (bk.has_null) continue;  // NULL keys never match
       part_rows[bk.hash % kJoinPartitions].push_back(static_cast<uint32_t>(r));
-      if (bloom) bloom->Add(bk.hash);
+      if (t.bloom) t.bloom->Add(bk.hash);
     }
-    struct Chain {
-      uint32_t head;
-      uint32_t tail;
-    };
-    using JoinTable = std::unordered_map<std::vector<Value>, Chain,
-                                         VecValueHash, VecValueEq>;
-    std::vector<JoinTable> tables(kJoinPartitions);
-    next->assign(nr, KeyTable::kNone);
+    t.parts.resize(kJoinPartitions);
+    t.next.assign(nr, KeyTable::kNone);
     // Rows enter a partition in ascending order, so every chain ascends;
     // a row sits in one partition, so partitions write disjoint entries.
     ParallelFor(kJoinPartitions, [&](size_t p) {
-      JoinTable& t = tables[p];
-      t.reserve(part_rows[p].size());
+      BoxedTable::Partition& part = t.parts[p];
+      part.reserve(part_rows[p].size());
       for (uint32_t r : part_rows[p]) {
-        auto [it, fresh] =
-            t.try_emplace(std::move((*bkeys)[r].key), Chain{r, r});
+        auto [it, fresh] = part.try_emplace(std::move((*bkeys)[r].key),
+                                            BoxedTable::Chain{r, r});
         if (!fresh) {
-          (*next)[it->second.tail] = r;
+          t.next[it->second.tail] = r;
           it->second.tail = r;
         }
       }
     });
+    return t;
+  }
 
+  /// Probes the boxed table, built here over `bkeys`, with each row of
+  /// `left`: fills `first` as ProbeTypedKeys does. Returns the number of
+  /// probe rows the Bloom filter rejected.
+  Result<int64_t> ProbeBoxedKeys(const PlanNode& node, const RowSet& left,
+                                 std::vector<BuildKey>* bkeys,
+                                 BoxedTable* table,
+                                 std::vector<uint32_t>* first) {
+    std::vector<std::unique_ptr<BoundExpr>> lkeys;
+    std::vector<Value::Kind> kinds;
+    size_t nl = left.rows.size();
+    for (const PlanEquiKey& pair : node.equi) {
+      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> l,
+                             BindExpr(*pair.left, left, this));
+      kinds.push_back(
+          FirstKind(nl, [&](size_t r) { return l->Eval(left.rows[r]); }));
+      lkeys.push_back(std::move(l));
+    }
+    *table = BuildBoxedTable(bkeys, kinds, nl);
     first->assign(nl, KeyTable::kNone);
     std::atomic<int64_t> rejects{0};
     ForEachMorsel(nl, [&](size_t b, size_t e, size_t) {
-      std::vector<Value> key;
+      std::vector<Value> key(lkeys.size());
       int64_t morsel_rejects = 0;
       for (size_t lr = b; lr < e; ++lr) {
-        key.clear();
-        bool has_null = false;
         for (size_t i = 0; i < lkeys.size(); ++i) {
-          Value v = lkeys[i]->Eval(left.rows[lr]);
-          if (probe_date_keys[i]) v = DateKey(std::move(v));
-          has_null |= v.is_null();
-          key.push_back(std::move(v));
+          key[i] = lkeys[i]->Eval(left.rows[lr]);
         }
-        if (has_null) continue;
-        size_t h = VecValueHash()(key);
-        if (bloom && !bloom->MayContain(h)) {
-          ++morsel_rejects;  // definitely absent from the build side
-          continue;
-        }
-        const JoinTable& t = tables[h % kJoinPartitions];
-        auto it = t.find(key);
-        if (it != t.end()) (*first)[lr] = it->second.head;
+        (*first)[lr] = table->Find(&key, &morsel_rejects);
       }
       if (morsel_rejects > 0) {
         rejects.fetch_add(morsel_rejects, std::memory_order_relaxed);
@@ -1227,13 +1622,56 @@ class PlanExecutor : public SubqueryEvaluator {
     return rejects.load();
   }
 
-  Result<std::shared_ptr<RowSet>> ExecHashJoin(const PlanNode& node) {
+  /// ProbeBoxedKeys over the index form, filling `first` per chunk as
+  /// ProbeTypedIndexed does.
+  int64_t ProbeBoxedIndexed(const std::vector<IndexedCol>& cols,
+                            const IndexedRows& in,
+                            std::vector<BuildKey>* bkeys, BoxedTable* table,
+                            std::vector<std::vector<uint32_t>>* first) {
+    std::vector<Value::Kind> kinds;
+    for (const IndexedCol& col : cols) kinds.push_back(FirstKind(in, col));
+    *table = BuildBoxedTable(bkeys, kinds, in.size());
+    size_t k = in.sources();
+    first->assign(in.chunks.size(), {});
+    std::atomic<int64_t> rejects{0};
+    ForEachUnit(in.chunks.size(), [&](size_t c) {
+      const std::vector<uint32_t>& chunk = in.chunks[c];
+      std::vector<uint32_t>& f = (*first)[c];
+      f.resize(chunk.size() / k);
+      std::vector<Value> key(cols.size());
+      int64_t chunk_rejects = 0;
+      for (size_t i = 0; i < f.size(); ++i) {
+        for (size_t j = 0; j < cols.size(); ++j) {
+          key[j] = cols[j].Get(&chunk[i * k]);
+        }
+        f[i] = table->Find(&key, &chunk_rejects);
+      }
+      if (chunk_rejects > 0) {
+        rejects.fetch_add(chunk_rejects, std::memory_order_relaxed);
+      }
+    });
+    return rejects.load();
+  }
+
+  /// A hash join's build side: the right input's rows and their keys,
+  /// typed on the vectorized path when there is one key and its values
+  /// are all of one word kind, else boxed.
+  struct JoinBuild {
+    std::shared_ptr<RowSet> rows;
+    std::optional<TypedKeys> typed;
+    std::vector<BuildKey> boxed;
+  };
+
+  /// Runs a hash join's inputs; `exec_left` runs the probe side, boxed or
+  /// in index form. On the vectorized path, an inner equi-join whose probe
+  /// side bottoms out in a private scan, with at least one bare probe-side
+  /// key column, runs the build side first and pushes the build keys
+  /// (min/max range + Bloom filter) into that scan. The exact table probe
+  /// still runs, so results are byte-identical to the unpushed order.
+  template <typename Left, typename ExecLeft>
+  Status JoinInputs(const PlanNode& node, const ExecLeft& exec_left,
+                    Left* left, JoinBuild* build) {
     const bool vec = options_.vectorized_execution;
-    // Vectorized path: an inner equi-join whose probe side bottoms out in
-    // a private scan, with at least one bare probe-side key column, runs
-    // the build side first and pushes the build keys (min/max range +
-    // Bloom filter) into that scan. The exact hash-table probe below still
-    // runs, so results are byte-identical to the unpushed order.
     const PlanNode* target = nullptr;
     int pd_col = -1;
     size_t pd_key = 0;
@@ -1253,71 +1691,69 @@ class PlanExecutor : public SubqueryEvaluator {
       }
     }
 
-    std::shared_ptr<RowSet> left, right;
     if (target == nullptr) {
-      TPCDS_ASSIGN_OR_RETURN(left, Exec(node.children[0]));
+      TPCDS_ASSIGN_OR_RETURN(*left, exec_left());
     }
-    TPCDS_ASSIGN_OR_RETURN(right, Exec(node.children[1]));
+    TPCDS_ASSIGN_OR_RETURN(build->rows, Exec(node.children[1]));
+    const RowSet& right = *build->rows;
 
     // Build-side keys, computed before the probe side runs so a key
-    // pushdown can be registered on the probe scan first. On the
-    // vectorized path a single key whose values are all of one word kind
-    // builds the typed table; any other key is boxed.
-    size_t nr = right->rows.size();
-    std::optional<TypedKeys> typed;
+    // pushdown can be registered on the probe scan first.
+    size_t nr = right.rows.size();
     if (vec && node.equi.size() == 1) {
       TPCDS_ASSIGN_OR_RETURN(KeyReader key,
-                             BindKey(*node.equi[0].right, *right));
-      typed = BuildTypedKeys(key, *right, /*chain=*/true);
+                             BindKey(*node.equi[0].right, right));
+      build->typed = BuildTypedKeys(key, right, /*chain=*/true);
     }
-    std::vector<BuildKey> bkeys;
-    if (!typed && !node.equi.empty()) {
-      TPCDS_ASSIGN_OR_RETURN(bkeys, BoxedBuildKeys(node, *right));
+    if (!build->typed && !node.equi.empty()) {
+      TPCDS_ASSIGN_OR_RETURN(build->boxed, BoxedBuildKeys(node, right));
     }
+    if (target == nullptr) return Status::OK();
 
-    if (target != nullptr) {
-      bool registered = false;
-      ScanPushdown pd;
-      pd.col = pd_col;
-      BloomFilter pushed_bloom(0);
-      // Only push when the build side is selective: a build key set in the
-      // same order of magnitude as the target table rejects little, and
-      // collecting + hashing its keys is pure overhead on the probe scan
-      // (e.g. a reversed star shape where the fact table is the build
-      // side of a dimension join). The gate counts build rows, so it runs
-      // before the O(build rows) key collection.
-      if (ShouldPushKeys(static_cast<int64_t>(nr), *pd_table)) {
-        const StorageColumn& col =
-            pd_table->column(static_cast<size_t>(pd_col));
-        if (typed) {
-          pushed_bloom = BloomFilter(typed->table.size());
-          registered = BuildKeyPushdown(TypedKeysOf(*typed), col,
-                                        &pushed_bloom, &pd);
-        } else {
-          ValueSet comp;
-          comp.reserve(nr);
-          for (const BuildKey& bk : bkeys) {
-            // A tripped governor leaves partially built keys behind (the
-            // query errors out after the operator); skip those, don't
-            // index them.
-            if (!bk.has_null && bk.key.size() > pd_key) {
-              comp.insert(bk.key[pd_key]);
-            }
+    bool registered = false;
+    ScanPushdown pd;
+    pd.col = pd_col;
+    BloomFilter pushed_bloom(0);
+    // Only push when the build side is selective: a build key set in the
+    // same order of magnitude as the target table rejects little, and
+    // collecting + hashing its keys is pure overhead on the probe scan
+    // (e.g. a reversed star shape where the fact table is the build
+    // side of a dimension join). The gate counts build rows, so it runs
+    // before the O(build rows) key collection.
+    if (ShouldPushKeys(static_cast<int64_t>(nr), *pd_table)) {
+      const StorageColumn& col = pd_table->column(static_cast<size_t>(pd_col));
+      if (build->typed) {
+        pushed_bloom = BloomFilter(build->typed->table.size());
+        registered = BuildKeyPushdown(TypedKeysOf(*build->typed), col,
+                                      &pushed_bloom, &pd);
+      } else {
+        ValueSet comp;
+        comp.reserve(nr);
+        for (const BuildKey& bk : build->boxed) {
+          // A tripped governor leaves partially built keys behind (the
+          // query errors out after the operator); skip those, don't
+          // index them.
+          if (!bk.has_null && bk.key.size() > pd_key) {
+            comp.insert(bk.key[pd_key]);
           }
-          pushed_bloom = BloomFilter(comp.size());
-          registered =
-              BuildKeyPushdown(BoxedKeysOf(comp), col, &pushed_bloom, &pd);
         }
+        pushed_bloom = BloomFilter(comp.size());
+        registered =
+            BuildKeyPushdown(BoxedKeysOf(comp), col, &pushed_bloom, &pd);
       }
-      if (registered) pushdowns_[target].push_back(pd);
-      Result<std::shared_ptr<RowSet>> lr = Exec(node.children[0]);
-      if (registered) {  // unregister before any error propagates
-        auto it = pushdowns_.find(target);
-        it->second.pop_back();
-        if (it->second.empty()) pushdowns_.erase(it);
-      }
-      TPCDS_ASSIGN_OR_RETURN(left, std::move(lr));
     }
+    TPCDS_ASSIGN_OR_RETURN(
+        *left, WithPushdown(target, registered ? &pd : nullptr, exec_left));
+    return Status::OK();
+  }
+
+  Result<std::shared_ptr<RowSet>> ExecHashJoin(const PlanNode& node) {
+    const bool vec = options_.vectorized_execution;
+    std::shared_ptr<RowSet> left;
+    JoinBuild build;
+    TPCDS_RETURN_NOT_OK(JoinInputs(
+        node, [&] { return Exec(node.children[0]); }, &left, &build));
+    const RowSet& right = *build.rows;
 
     auto out = std::make_shared<RowSet>();
     out->cols = node.schema;
@@ -1362,7 +1798,7 @@ class PlanExecutor : public SubqueryEvaluator {
           size_t emitted_before = buf.size();
           const auto& lrow = left->rows[lr];
           bool matched = false;
-          for (const auto& rrow : right->rows) {
+          for (const auto& rrow : right.rows) {
             matched |= emit(lrow, rrow, &buf);
           }
           if (node.left_outer && !matched) emit_unmatched(lrow, &buf);
@@ -1375,23 +1811,23 @@ class PlanExecutor : public SubqueryEvaluator {
       // to KeyTable::kNone, so output order is the same on either table
       // and at any parallelism.
       std::vector<uint32_t> first;
-      std::vector<uint32_t> next;
+      BoxedTable boxed;
       bool typed_probe = false;
-      if (typed) {
+      if (build.typed) {
         TPCDS_ASSIGN_OR_RETURN(KeyReader key,
                                BindKey(*node.equi[0].left, *left));
-        typed_probe = ProbeTypedKeys(*typed, key, *left, &first);
+        typed_probe = ProbeTypedKeys(*build.typed, key, *left, &first);
         if (!typed_probe) {
-          TPCDS_ASSIGN_OR_RETURN(bkeys, BoxedBuildKeys(node, *right));
+          TPCDS_ASSIGN_OR_RETURN(build.boxed, BoxedBuildKeys(node, right));
         }
       }
       if (!typed_probe) {
         TPCDS_ASSIGN_OR_RETURN(
-            rejects, ProbeBoxedKeys(node, *left, &bkeys, &first, &next));
+            rejects, ProbeBoxedKeys(node, *left, &build.boxed, &boxed, &first));
       }
       node.stats.vectorized = vec;
       auto next_row = [&](uint32_t r) {
-        return typed_probe ? typed->table.Next(r) : next[r];
+        return typed_probe ? build.typed->table.Next(r) : boxed.next[r];
       };
       ForEachMorsel(nl, [&](size_t b, size_t e, size_t m) {
         RowList& buf = bufs[m];
@@ -1400,7 +1836,7 @@ class PlanExecutor : public SubqueryEvaluator {
           const auto& lrow = left->rows[lr];
           bool matched = false;
           for (uint32_t r = first[lr]; r != KeyTable::kNone; r = next_row(r)) {
-            matched |= emit(lrow, right->rows[r], &buf);
+            matched |= emit(lrow, right.rows[r], &buf);
           }
           if (node.left_outer && !matched) emit_unmatched(lrow, &buf);
         }
@@ -1414,6 +1850,68 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->bloom_rejects += rejects;
     }
     return out;
+  }
+
+  /// The hash join in index form: each probe tuple is followed, chunk by
+  /// chunk, by the index of every build row its keys match, in ascending
+  /// build order (the order the boxed join emits them in), or by
+  /// KeyTable::kNone for a LEFT JOIN miss. The build side's rows become
+  /// the tuples' next source.
+  Result<IndexedRows> HashJoinIndexed(const PlanNode& node) {
+    IndexedRows left;
+    JoinBuild build;
+    TPCDS_RETURN_NOT_OK(JoinInputs(
+        node, [&] { return ExecIndexed(node.children[0]); }, &left, &build));
+    std::vector<IndexedCol> cols;
+    for (const PlanEquiKey& key : node.equi) {
+      TPCDS_ASSIGN_OR_RETURN(IndexedCol col, ResolveIndexed(left, *key.left));
+      cols.push_back(col);
+    }
+    std::vector<std::vector<uint32_t>> first;
+    BoxedTable boxed;
+    int64_t rejects = 0;
+    const bool typed_probe =
+        build.typed && ProbeTypedIndexed(*build.typed, cols[0], left, &first);
+    if (!typed_probe) {
+      if (build.typed) {
+        TPCDS_ASSIGN_OR_RETURN(build.boxed,
+                               BoxedBuildKeys(node, *build.rows));
+      }
+      rejects = ProbeBoxedIndexed(cols, left, &build.boxed, &boxed, &first);
+    }
+    node.stats.vectorized = true;
+    auto next_row = [&](uint32_t r) {
+      return typed_probe ? build.typed->table.Next(r) : boxed.next[r];
+    };
+    size_t k = left.sources();
+    std::vector<std::vector<uint32_t>> chunks(left.chunks.size());
+    ForEachUnit(left.chunks.size(), [&](size_t c) {
+      const std::vector<uint32_t>& in = left.chunks[c];
+      std::vector<uint32_t>& out = chunks[c];
+      out.reserve(in.size() + first[c].size());
+      auto append = [&](const uint32_t* tuple, uint32_t r) {
+        out.insert(out.end(), tuple, tuple + k);
+        out.push_back(r);
+      };
+      for (size_t i = 0; i < first[c].size(); ++i) {
+        const uint32_t* tuple = &in[i * k];
+        uint32_t r = first[c][i];
+        if (r == KeyTable::kNone && node.left_outer) append(tuple, r);
+        for (; r != KeyTable::kNone; r = next_row(r)) append(tuple, r);
+      }
+      ChargeIndexRows(out.size() / (k + 1), k + 1);
+    });
+    left.chunks = std::move(chunks);
+    left.DropEmptyChunks();
+    left.widths.push_back(node.schema.size() - left.cols.size());
+    left.builds.push_back(std::move(build.rows));
+    left.cols = node.schema;
+    node.stats.bloom_rejects += rejects;
+    if (stats_ != nullptr) {
+      stats_->rows_joined += static_cast<int64_t>(left.size());
+      stats_->bloom_rejects += rejects;
+    }
+    return left;
   }
 
   Result<std::shared_ptr<RowSet>> ExecIndexJoin(const PlanNode& node) {
@@ -1746,8 +2244,13 @@ class PlanExecutor : public SubqueryEvaluator {
           // borrowed as views — `rs` outlives the probe), then a
           // morsel-parallel membership probe over the accumulated side.
           constexpr size_t kWholeRow = static_cast<size_t>(-1);
+          std::vector<bool> mixed =
+              MixedDateColumns({&acc->rows, &rs->rows}, acc->cols.size());
+          RowList build_copy, probe_copy;
+          const RowList& build = DateKeyed(rs->rows, mixed, &build_copy);
+          const RowList& probe = DateKeyed(acc->rows, mixed, &probe_copy);
           std::vector<std::vector<uint32_t>> parts =
-              PartitionRows(rs->rows, kWholeRow);
+              PartitionRows(build, kWholeRow);
           std::vector<
               std::unordered_set<GroupKeyView, GroupKeyHash, GroupKeyEq>>
               sets(kHashPartitions);
@@ -1755,7 +2258,7 @@ class PlanExecutor : public SubqueryEvaluator {
             if (track_ && !governor_->Tick()) return;
             sets[p].reserve(parts[p].size());
             for (uint32_t r : parts[p]) {
-              sets[p].insert(GroupKeyView::Of(rs->rows[r]));
+              sets[p].insert(GroupKeyView::Of(build[r]));
             }
           });
           bool keep_present = node.set_kinds[i - 1] == Kind::kIntersect;
@@ -1763,7 +2266,7 @@ class PlanExecutor : public SubqueryEvaluator {
           std::vector<uint8_t> match(an, 0);
           ForEachMorsel(an, [&](size_t b, size_t e, size_t) {
             for (size_t r = b; r < e; ++r) {
-              GroupKeyView key = GroupKeyView::Of(acc->rows[r]);
+              GroupKeyView key = GroupKeyView::Of(probe[r]);
               const auto& set = sets[GroupKeyHash()(key) % kHashPartitions];
               match[r] = set.count(key) != 0 ? 1 : 0;
             }
@@ -2182,6 +2685,50 @@ class PlanExecutor : public SubqueryEvaluator {
     return parts;
   }
 
+  /// The columns, among the first `width`, that hold dates in some rows of
+  /// `sides` and strings in others; empty when there are none.
+  static std::vector<bool> MixedDateColumns(
+      std::initializer_list<const RowList*> sides, size_t width) {
+    std::vector<uint8_t> seen(width, 0);  // bit 0: a date, bit 1: a string
+    for (const RowList* rows : sides) {
+      for (const std::vector<Value>& row : *rows) {
+        for (size_t c = 0; c < width && c < row.size(); ++c) {
+          if (row[c].kind() == Value::Kind::kDate) seen[c] |= 1;
+          if (row[c].kind() == Value::Kind::kString) seen[c] |= 2;
+        }
+      }
+    }
+    std::vector<bool> mixed(width, false);
+    bool any = false;
+    for (size_t c = 0; c < width; ++c) {
+      mixed[c] = seen[c] == 3;
+      any |= mixed[c];
+    }
+    if (!any) mixed.clear();
+    return mixed;
+  }
+
+  /// Rows as set operations and DISTINCT compare them. Value::Compare
+  /// equates a DATE with a string naming it, but Hash keeps them apart
+  /// (see DateKey), so in the `mixed` columns a string naming a date is
+  /// keyed as that date; other values, and every other column, key as
+  /// they are. Returns `rows` itself when no column is mixed, else the
+  /// keys copied into *copy. The rows themselves are never changed.
+  static const RowList& DateKeyed(const RowList& rows,
+                                  const std::vector<bool>& mixed,
+                                  RowList* copy) {
+    if (mixed.empty()) return rows;
+    *copy = rows;
+    for (std::vector<Value>& row : *copy) {
+      for (size_t c = 0; c < mixed.size() && c < row.size(); ++c) {
+        if (!mixed[c] || row[c].kind() != Value::Kind::kString) continue;
+        Value d = DateKey(row[c]);
+        if (!d.is_null()) row[c] = std::move(d);
+      }
+    }
+    return *copy;
+  }
+
   /// Duplicate elimination over the visible prefix, partition-parallel:
   /// rows partition by key hash, each partition keeps the first
   /// occurrence of every key (keys are borrowed views into the rows —
@@ -2193,8 +2740,10 @@ class PlanExecutor : public SubqueryEvaluator {
     size_t n = rs->rows.size();
     if (n == 0) return;
     size_t visible = rs->VisibleCols();
-    std::vector<std::vector<uint32_t>> parts =
-        PartitionRows(rs->rows, visible);
+    RowList copy;
+    const RowList& keys =
+        DateKeyed(rs->rows, MixedDateColumns({&rs->rows}, visible), &copy);
+    std::vector<std::vector<uint32_t>> parts = PartitionRows(keys, visible);
     std::vector<std::vector<uint32_t>> survivors(kHashPartitions);
     QueryGovernor* gov = governor_;
     bool checked = track_;
@@ -2203,7 +2752,7 @@ class PlanExecutor : public SubqueryEvaluator {
       std::unordered_set<GroupKeyView, GroupKeyHash, GroupKeyEq> seen;
       seen.reserve(parts[p].size());
       for (uint32_t r : parts[p]) {
-        if (seen.insert(GroupKeyView::Prefix(rs->rows[r], visible)).second) {
+        if (seen.insert(GroupKeyView::Prefix(keys[r], visible)).second) {
           survivors[p].push_back(r);
         }
       }

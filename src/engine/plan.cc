@@ -658,6 +658,9 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
             has_local_filter = true;
             break;
           }
+          // A conjunct of the earlier scope alone (`d1_g = 2`: a literal
+          // resolves anywhere) does not touch this table.
+          if (ResolvableIn(*c, earlier_meta)) continue;
           // Does this conjunct span earlier scope + this table?
           if (c->tag == Expr::Tag::kBinary && c->name == "=") {
             const Expr& a = *c->children[0];
@@ -681,7 +684,7 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
           RowSet combined = earlier_meta;
           combined.cols.insert(combined.cols.end(), my_meta.cols.begin(),
                                my_meta.cols.end());
-          if (!ResolvableIn(*c, earlier_meta) && ResolvableIn(*c, combined)) {
+          if (ResolvableIn(*c, combined)) {
             spanning += 2;  // disqualify
           }
         }

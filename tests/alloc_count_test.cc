@@ -1,0 +1,107 @@
+// Pins "materialized once" with an exact count: this binary replaces the
+// global operator new and counts the heap allocations one three-join chain
+// query makes at parallelism 1. On the vectorized path the chain carries
+// row indices and boxes each output row once, at its top; the reference
+// path boxes every row at every level.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "engine/database.h"
+
+namespace {
+
+std::atomic<int64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace tpcds {
+namespace {
+
+constexpr int kFactRows = 6000;  // five full morsels and a part
+
+/// A fact table whose every row matches exactly one row of each of three
+/// small dimensions, all integer columns, so no value owns a heap buffer
+/// and the chain's output is the fact table's row count.
+void BuildStar(Database* db) {
+  ASSERT_TRUE(db->CreateTable("f", {{"k1", ColumnType::kInteger},
+                                    {"k2", ColumnType::kInteger},
+                                    {"k3", ColumnType::kInteger}})
+                  .ok());
+  for (const char* dim : {"d1", "d2", "d3"}) {
+    ASSERT_TRUE(db->CreateTable(dim, {{"k", ColumnType::kInteger},
+                                      {"v", ColumnType::kInteger}})
+                    .ok());
+    for (int j = 0; j < 20; ++j) {
+      ASSERT_TRUE(db->FindTable(dim)
+                      ->AppendRowStrings({std::to_string(j),
+                                          std::to_string(j * 3)})
+                      .ok());
+    }
+  }
+  EngineTable* f = db->FindTable("f");
+  for (int i = 0; i < kFactRows; ++i) {
+    ASSERT_TRUE(f->AppendRowStrings({std::to_string(i % 20),
+                                     std::to_string(i * 7 % 20),
+                                     std::to_string(i * 11 % 20)})
+                    .ok());
+  }
+}
+
+/// Heap allocations one run of `sql` makes, planning included.
+int64_t AllocationsOf(Database* db, const std::string& sql,
+                      const PlannerOptions& options, int64_t* result) {
+  int64_t before = g_allocations.load();
+  Result<QueryResult> r = db->Query(sql, options, nullptr);
+  int64_t count = g_allocations.load() - before;
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  *result = r.ok() ? r->rows[0][0].AsInt() : -1;
+  return count;
+}
+
+TEST(AllocationCountTest, ThreeJoinChainBoxesEachOutputRowOnce) {
+  Database db;
+  BuildStar(&db);
+  const std::string sql =
+      "SELECT COUNT(*), SUM(d1.v + d2.v + d3.v) FROM f "
+      "JOIN d1 ON f.k1 = d1.k JOIN d2 ON f.k2 = d2.k "
+      "JOIN d3 ON f.k3 = d3.k";
+  PlannerOptions options = db.default_options();
+  options.parallelism = 1;
+  int64_t rows = 0;
+  // The first run builds the tables' lazy derived state; count the second.
+  AllocationsOf(&db, sql, options, &rows);
+  int64_t vectorized = AllocationsOf(&db, sql, options, &rows);
+  ASSERT_EQ(rows, kFactRows);
+  // One boxed row per output row, plus parsing, planning, the three
+  // build sides and a few index vectors per morsel.
+  EXPECT_LE(vectorized, rows + 1000) << vectorized << " allocations";
+
+  options.vectorized_execution = false;
+  AllocationsOf(&db, sql, options, &rows);
+  int64_t reference = AllocationsOf(&db, sql, options, &rows);
+  ASSERT_EQ(rows, kFactRows);
+  // The scan and each of the three joins box every row.
+  EXPECT_GE(reference, 3 * rows) << reference << " allocations";
+}
+
+}  // namespace
+}  // namespace tpcds

@@ -440,6 +440,15 @@ TEST_F(KernelCompileTest, SupportedShapesCompileToKernels) {
   // Two pushable conjuncts -> two kernels.
   EXPECT_EQ(Classify("n > 5 AND s = 'x'"),
             (std::pair<size_t, size_t>{2, 0}));
+  // Operands that read no row are folded once, at plan time.
+  EXPECT_EQ(Classify("d BETWEEN '1998-01-01' AND "
+                     "(CAST('1998-01-01' AS DATE) + 30)"),
+            (std::pair<size_t, size_t>{1, 0}));
+  EXPECT_EQ(Classify("n > 2 + 3"), (std::pair<size_t, size_t>{1, 0}));
+  EXPECT_EQ(Classify("k IN (1, 1 + 1)"), (std::pair<size_t, size_t>{1, 0}));
+  // An unparseable date bound folds to NULL: no row passes.
+  EXPECT_EQ(Classify("d <= CAST('x' AS DATE)"),
+            (std::pair<size_t, size_t>{1, 0}));
 }
 
 TEST_F(KernelCompileTest, UnsupportedShapesStayOnResidualPath) {
@@ -558,6 +567,60 @@ TEST(VectorizedScanTest, MorselsPruneByTheirOwnZoneMapBlock) {
           << c.sql << " at parallelism " << workers;
       EXPECT_EQ(stats.morsels_pruned, c.pruned)
           << c.sql << " at parallelism " << workers;
+    }
+  }
+}
+
+TEST(VectorizedScanTest, ConstantBoundsPruneMorselsAndMatchTheRowPath) {
+  // d ascends one day per row over five morsels and a partial sixth, so a
+  // folded date range keeps only the morsels it overlaps.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", {{"k", ColumnType::kIdentifier},
+                                   {"d", ColumnType::kDate}})
+                  .ok());
+  EngineTable* t = db.FindTable("t");
+  const int64_t rows = 5 * static_cast<int64_t>(kBatchRows) + 300;
+  const Date start = *Date::Parse("1990-01-01");
+  for (int64_t i = 0; i < rows; ++i) {
+    Date d(static_cast<int32_t>(start.jdn() + i));
+    ASSERT_TRUE(
+        t->AppendRowStrings({std::to_string(i), d.ToString()}).ok());
+  }
+  // Rows 2100-2130, all in morsel 2; rows from 4000 on, in morsels 3-5;
+  // and a NULL bound, which no row passes.
+  const std::string first = Date(static_cast<int32_t>(start.jdn() + 2100))
+                                .ToString();
+  struct Case {
+    std::string where;
+    int64_t count;
+    int64_t pruned;
+  };
+  const Case cases[] = {
+      {"d BETWEEN '" + first + "' AND (CAST('" + first +
+           "' AS DATE) + 30)",
+       31, 5},
+      {"d >= CAST('" + first + "' AS DATE) + 1900", rows - 4000, 3},
+      {"d NOT IN (CAST('" + first + "' AS DATE), CAST('x' AS DATE))",
+       rows - 1, 0},
+      {"d <= CAST('x' AS DATE)", 0, 6},
+  };
+  for (const Case& c : cases) {
+    const std::string sql = "SELECT COUNT(*), SUM(k) FROM t WHERE " + c.where;
+    PlannerOptions options = db.default_options();
+    options.vectorized_execution = false;
+    Result<QueryResult> ref = db.Query(sql, options, nullptr);
+    ASSERT_TRUE(ref.ok()) << sql << "\n" << ref.status().ToString();
+    EXPECT_EQ(ref->rows[0][0].AsInt(), c.count) << sql;
+    options.vectorized_execution = true;
+    for (int workers : {1, 4}) {
+      options.parallelism = workers;
+      ExecStats stats;
+      Result<QueryResult> vec = db.Query(sql, options, &stats);
+      ASSERT_TRUE(vec.ok()) << sql << "\n" << vec.status().ToString();
+      EXPECT_EQ(vec->ToCsv(), ref->ToCsv())
+          << sql << " at parallelism " << workers;
+      EXPECT_EQ(stats.morsels_pruned, c.pruned)
+          << sql << " at parallelism " << workers;
     }
   }
 }

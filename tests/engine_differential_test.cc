@@ -441,19 +441,24 @@ TEST_F(TypedJoinTest, DateKeys) {
 TEST_F(TypedJoinTest, DateEqualsTheStringNamingIt) {
   // The filter compares the date with the string by parsing it; every
   // hashed form of the same equality must find the row too, though a
-  // date and a string hash apart.
-  const std::vector<std::string> queries = {
-      "SELECT COUNT(*) FROM a WHERE dt = '2000-01-05'",
-      "SELECT a.dt, b.ds FROM a JOIN b ON a.dt = b.ds",
-      "SELECT a.dt, b.ds FROM b JOIN a ON b.ds = a.dt",
-      "SELECT a.dt, b.ds FROM a, b WHERE a.dt = b.ds",
-      "SELECT dt FROM a WHERE dt IN (SELECT ds FROM b)",
-      "SELECT ds FROM b WHERE ds IN (SELECT dt FROM a)",
+  // date and a string hash apart. Each statement's expected row count
+  // follows it.
+  const std::vector<std::pair<std::string, size_t>> queries = {
+      {"SELECT COUNT(*) FROM a WHERE dt = '2000-01-05'", 1},
+      {"SELECT a.dt, b.ds FROM a JOIN b ON a.dt = b.ds", 1},
+      {"SELECT a.dt, b.ds FROM b JOIN a ON b.ds = a.dt", 1},
+      {"SELECT a.dt, b.ds FROM a, b WHERE a.dt = b.ds", 1},
+      {"SELECT dt FROM a WHERE dt IN (SELECT ds FROM b)", 1},
+      {"SELECT ds FROM b WHERE ds IN (SELECT dt FROM a)", 1},
       // Star semi-joins: string dimension keys against a date fact key,
       // then date dimension keys against a string fact key.
-      "SELECT a.dt FROM a, b, b b2 WHERE a.dt = b.ds AND a.dt = b2.ds",
-      "SELECT b.ds FROM b, a, a a2 WHERE b.ds = a.dt AND b.ds = a2.dt"};
-  for (const std::string& sql : queries) {
+      {"SELECT a.dt FROM a, b, b b2 WHERE a.dt = b.ds AND a.dt = b2.ds", 1},
+      {"SELECT b.ds FROM b, a, a a2 WHERE b.ds = a.dt AND b.ds = a2.dt", 1},
+      // Set operations compare whole rows the same way.
+      {"SELECT dt FROM a INTERSECT SELECT ds FROM b", 1},
+      {"SELECT dt FROM a EXCEPT SELECT ds FROM b", 0},
+      {"SELECT dt FROM a UNION SELECT ds FROM b", 1}};
+  for (const auto& [sql, expected] : queries) {
     for (bool vectorized : {false, true}) {
       for (int workers : {1, 4}) {
         PlannerOptions options = db_->default_options();
@@ -461,7 +466,7 @@ TEST_F(TypedJoinTest, DateEqualsTheStringNamingIt) {
         options.parallelism = workers;
         Result<QueryResult> run = db_->Query(sql, options, nullptr);
         ASSERT_TRUE(run.ok()) << sql << ": " << run.status().ToString();
-        EXPECT_EQ(run->rows.size(), 1u)
+        EXPECT_EQ(run->rows.size(), expected)
             << sql << " vectorized " << vectorized << " at parallelism "
             << workers;
       }
@@ -478,6 +483,217 @@ TEST_F(TypedJoinTest, StringAndMixedKindKeysKeepTheBoxedTable) {
                 "SELECT f.id, d.v FROM f JOIN d "
                 "ON f.k = CASE WHEN d.v < 100 THEN d.kd ELSE d.k END"),
             0u);
+}
+
+/// Join pipelines in index form: on the vectorized path a chain of scan,
+/// star semi-joins and hash joins carries row indices and boxes each
+/// output row once, at its top. A mini star schema: a fact table of six
+/// morsels and small dimensions. No statement has an ORDER BY, so the CSV
+/// also pins the order rows are emitted in.
+class IndexFormTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    db_ = new Database();
+    auto ints = [](std::initializer_list<const char*> names) {
+      std::vector<EngineTable::ColumnMeta> cols;
+      for (const char* n : names) cols.push_back({n, ColumnType::kInteger});
+      return cols;
+    };
+    std::vector<EngineTable::ColumnMeta> fact =
+        ints({"id", "k1", "k2", "k3", "kc1", "kc2", "v"});
+    fact.push_back({"ks", ColumnType::kVarchar});
+    ASSERT_TRUE(db_->CreateTable("f", fact).ok());
+    ASSERT_TRUE(db_->CreateTable("d1", ints({"k1", "a", "g"})).ok());
+    ASSERT_TRUE(db_->CreateTable("d2", ints({"k2", "b", "x"})).ok());
+    ASSERT_TRUE(db_->CreateTable("d3", ints({"k3", "c"})).ok());
+    ASSERT_TRUE(db_->CreateTable("d4", ints({"x", "z"})).ok());
+    ASSERT_TRUE(db_->CreateTable("dc", ints({"c1", "c2", "cv"})).ok());
+    ASSERT_TRUE(db_->CreateTable("ds", {{"s", ColumnType::kVarchar},
+                                        {"sv", ColumnType::kInteger}})
+                    .ok());
+    ASSERT_TRUE(db_->CreateTable("e", ints({"k", "w"})).ok());  // empty
+    EngineTable* f = db_->FindTable("f");
+    for (int i = 0; i < kFactRows; ++i) {
+      // k1 is NULL on every 31st row; k2 misses d2 on a quarter of them.
+      ASSERT_TRUE(f->AppendRowStrings(
+                       {std::to_string(i),
+                        i % 31 == 0 ? "" : std::to_string(i * 7 % 50),
+                        std::to_string(i % 40), std::to_string(i % 20),
+                        std::to_string(i % 7), std::to_string(i % 5),
+                        std::to_string(i % 100), "s" + std::to_string(i % 12)})
+                      .ok());
+    }
+    auto fill = [](const char* table, int rows, auto row_of) {
+      for (int j = 0; j < rows; ++j) {
+        ASSERT_TRUE(db_->FindTable(table)->AppendRowStrings(row_of(j)).ok());
+      }
+    };
+    auto str = [](int v) { return std::to_string(v); };
+    fill("d1", 50, [&](int j) {
+      return std::vector<std::string>{str(j), str(j * 3), str(j % 5)};
+    });
+    // Every key of d2 is on two rows, out of key order.
+    fill("d2", 60, [&](int j) {
+      return std::vector<std::string>{str(j * 7 % 30), str(j), str(j % 8)};
+    });
+    fill("d3", 20, [&](int j) {
+      return std::vector<std::string>{str(j), str(j * 10)};
+    });
+    fill("d4", 6, [&](int j) {
+      return std::vector<std::string>{str(j), str(j + 100)};
+    });
+    // Every (c1, c2) pair with c1 < 7 and c2 < 5, once.
+    fill("dc", 35, [&](int j) {
+      return std::vector<std::string>{str(j % 7), str(j % 5), str(j)};
+    });
+    fill("ds", 10, [&](int j) {
+      return std::vector<std::string>{"s" + str(j), str(j)};
+    });
+  }
+
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  /// Runs `sql` on the reference path, then vectorized at parallelism 1
+  /// and 4, and expects the same bytes every time. Returns the row count.
+  static size_t ExpectMatchesReference(const std::string& sql) {
+    PlannerOptions options = db_->default_options();
+    options.vectorized_execution = false;
+    Result<QueryResult> reference = db_->Query(sql, options, nullptr);
+    EXPECT_TRUE(reference.ok()) << sql << ": "
+                                << reference.status().ToString();
+    if (!reference.ok()) return 0;
+    options.vectorized_execution = true;
+    for (int workers : {1, 4}) {
+      options.parallelism = workers;
+      Result<QueryResult> run = db_->Query(sql, options, nullptr);
+      EXPECT_TRUE(run.ok()) << sql << ": " << run.status().ToString();
+      if (!run.ok()) continue;
+      EXPECT_EQ(run->ToCsv(), reference->ToCsv())
+          << sql << " at parallelism " << workers;
+    }
+    return reference->rows.size();
+  }
+
+  static constexpr int kFactRows = 6000;  // five full morsels and a part
+  static Database* db_;
+};
+
+Database* IndexFormTest::db_ = nullptr;
+
+TEST_F(IndexFormTest, ThreeJoinChainOverAStarSemiJoin) {
+  // d1 is filtered, so the fact scan is reduced by its key set first;
+  // d2's keys repeat, and f.k1 is NULL on some rows.
+  const std::string sql =
+      "SELECT f.id, d1.a, d2.b, d3.c FROM f, d1, d2, d3 "
+      "WHERE f.k1 = d1.k1 AND f.k2 = d2.k2 AND f.k3 = d3.k3 AND d1.g = 1";
+  Result<std::string> plan = db_->Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("star semi-join"), std::string::npos) << *plan;
+  EXPECT_GT(ExpectMatchesReference(sql), 1000u);
+}
+
+TEST_F(IndexFormTest, DuplicateBuildKeysAtTheMiddleLevel) {
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, d2.b, d1.a, d3.c FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 JOIN d2 ON f.k2 = d2.k2 "
+                "JOIN d3 ON f.k3 = d3.k3"),
+            static_cast<size_t>(kFactRows));
+}
+
+TEST_F(IndexFormTest, LeftJoinMidChainThenAJoinOnThePaddedSide) {
+  // A missed d2 row pads with NULLs; the join keyed on d2.x then matches
+  // nothing for it (inner) or pads again (left). d4 holds only six of
+  // d2's eight x values.
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, d2.b, d4.z, d3.c FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 LEFT JOIN d2 ON f.k2 = d2.k2 "
+                "JOIN d4 ON d2.x = d4.x JOIN d3 ON f.k3 = d3.k3"),
+            0u);
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, d2.b, d4.z FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 LEFT JOIN d2 ON f.k2 = d2.k2 "
+                "LEFT JOIN d4 ON d2.x = d4.x"),
+            static_cast<size_t>(kFactRows / 2));
+}
+
+TEST_F(IndexFormTest, KeysReadFromABuildSource) {
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, d2.b, d4.z, d1.a FROM f "
+                "JOIN d2 ON f.k2 = d2.k2 JOIN d4 ON d2.x = d4.x "
+                "JOIN d1 ON f.k1 = d1.k1"),
+            0u);
+}
+
+TEST_F(IndexFormTest, EmptyBuildSide) {
+  EXPECT_EQ(ExpectMatchesReference("SELECT f.id, e.w FROM f "
+                                   "JOIN d1 ON f.k1 = d1.k1 "
+                                   "JOIN e ON f.k3 = e.k"),
+            0u);
+  EXPECT_GT(ExpectMatchesReference("SELECT f.id, e.w, d3.c FROM f "
+                                   "JOIN d1 ON f.k1 = d1.k1 "
+                                   "LEFT JOIN e ON f.k3 = e.k "
+                                   "JOIN d3 ON f.k3 = d3.k3"),
+            0u);
+}
+
+TEST_F(IndexFormTest, TwoColumnAndStringKeyLevels) {
+  // The boxed join table serves both levels; f.ks = 's10' and 's11'
+  // miss ds.
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, dc.cv, ds.sv, d3.c FROM f "
+                "JOIN dc ON f.kc1 = dc.c1 AND f.kc2 = dc.c2 "
+                "JOIN ds ON f.ks = ds.s JOIN d3 ON f.k3 = d3.k3"),
+            0u);
+}
+
+TEST_F(IndexFormTest, ResidualJoinOnTopOfTheChain) {
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, d1.a, d2.b, d3.c FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 JOIN d2 ON f.k2 = d2.k2 "
+                "JOIN d3 ON f.k3 = d3.k3 AND f.v < d3.c"),
+            0u);
+}
+
+TEST_F(IndexFormTest, CteScannedTwice) {
+  EXPECT_GT(ExpectMatchesReference(
+                "WITH c AS (SELECT f.id, f.k3, d2.b FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 JOIN d2 ON f.k2 = d2.k2) "
+                "SELECT c1.id, c2.b, d3.c FROM c c1 JOIN c c2 "
+                "ON c1.id = c2.id JOIN d3 ON c1.k3 = d3.k3"),
+            0u);
+}
+
+TEST_F(IndexFormTest, AggregateOverTheChain) {
+  EXPECT_EQ(ExpectMatchesReference(
+                "SELECT d3.c, COUNT(*), SUM(d1.a), MIN(d2.b) FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 JOIN d2 ON f.k2 = d2.k2 "
+                "JOIN d3 ON f.k3 = d3.k3 GROUP BY d3.c"),
+            20u);
+}
+
+TEST_F(IndexFormTest, RowBudgetTripsInsideTheChain) {
+  // The scan produces 6000 rows, the first join 9000 (d2 holds three of
+  // every four f.k2 values, twice), the second 18000: a budget of 20000
+  // rows trips at the second join, before any row is boxed.
+  const std::string sql =
+      "SELECT COUNT(*) FROM f JOIN d2 ON f.k2 = d2.k2 "
+      "JOIN d2 d2b ON f.k2 = d2b.k2";
+  Result<QueryResult> ungoverned = db_->Query(sql);
+  ASSERT_TRUE(ungoverned.ok()) << ungoverned.status().ToString();
+  EXPECT_EQ(ungoverned->rows[0][0].AsInt(), 18000);
+  for (int workers : {1, 4}) {
+    PlannerOptions options = db_->default_options();
+    options.parallelism = workers;
+    options.row_budget = 20000;
+    Result<QueryResult> r = db_->Query(sql, options, nullptr);
+    ASSERT_FALSE(r.ok()) << "parallelism " << workers;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(r.status().message().find("row budget"), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 /// Backing-vs-backing differential: the same checkpoint deep-loaded onto

@@ -365,6 +365,11 @@ TEST_F(StructuralPlanTest, IndexJoinDefersOnlyLaterCommaJoinedItems) {
                     "WHERE f_k1 = d1_k AND d1_g > 2 AND f_k2 = d2_k",
                     index_on_),
             "index(join(fact, d1), d2)");
+  // A constant equality on the earlier d1 is no conjunct of d2's either.
+  EXPECT_EQ(ShapeOf("SELECT COUNT(*) FROM fact, d1, d2 "
+                    "WHERE f_k1 = d1_k AND d1_g = 2 AND f_k2 = d2_k",
+                    index_on_),
+            "index(join(fact, d1), d2)");
 }
 
 TEST_F(StructuralPlanTest, IndexJoinedTableIsNoStarDimension) {
