@@ -585,44 +585,42 @@ void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
   s.resize(w);
 }
 
-void GatherRows(const EngineTable& table, const std::vector<int>& cols,
-                const uint32_t* rows, size_t n, size_t stride,
-                std::vector<Value>* out) {
-  for (int col : cols) {
-    const StorageColumn& c = table.column(static_cast<size_t>(col));
-    const uint8_t* nulls = c.nulls().data();
-    const int64_t* nums = c.nums().data();
-    switch (c.type()) {
-      case ColumnType::kIdentifier:
-      case ColumnType::kInteger:
-        for (size_t i = 0; i < n; ++i) {
-          uint32_t r = rows[i * stride];
-          out[i].push_back(nulls[r] ? Value::Null() : Value::Int(nums[r]));
+void GatherColumn(const StorageColumn& column, const uint32_t* rows,
+                  size_t n, size_t stride, size_t slot,
+                  std::vector<Value>* out) {
+  const uint8_t* nulls = column.nulls().data();
+  const int64_t* nums = column.nums().data();
+  Value::Kind kind = Value::Kind::kInt;
+  switch (column.type()) {
+    case ColumnType::kIdentifier:
+    case ColumnType::kInteger:
+      break;
+    case ColumnType::kDecimal:
+      kind = Value::Kind::kDecimal;
+      break;
+    case ColumnType::kDate:
+      kind = Value::Kind::kDate;
+      break;
+    case ColumnType::kChar:
+    case ColumnType::kVarchar:
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t r = rows[i * stride];
+        Value& v = out[i][slot];
+        if (nulls[r]) {
+          v.SetNull();
+        } else {
+          v.SetStr(column.Str(r));
         }
-        break;
-      case ColumnType::kDecimal:
-        for (size_t i = 0; i < n; ++i) {
-          uint32_t r = rows[i * stride];
-          out[i].push_back(nulls[r] ? Value::Null()
-                                    : Value::Dec(Decimal::FromCents(nums[r])));
-        }
-        break;
-      case ColumnType::kDate:
-        for (size_t i = 0; i < n; ++i) {
-          uint32_t r = rows[i * stride];
-          out[i].push_back(
-              nulls[r] ? Value::Null()
-                       : Value::Dt(Date(static_cast<int32_t>(nums[r]))));
-        }
-        break;
-      case ColumnType::kChar:
-      case ColumnType::kVarchar:
-        for (size_t i = 0; i < n; ++i) {
-          uint32_t r = rows[i * stride];
-          out[i].push_back(nulls[r] ? Value::Null()
-                                    : Value::Str(std::string(c.Str(r))));
-        }
-        break;
+      }
+      return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t r = rows[i * stride];
+    Value& v = out[i][slot];
+    if (nulls[r]) {
+      v.SetNull();
+    } else {
+      v.SetWord(kind, nums[r]);
     }
   }
 }

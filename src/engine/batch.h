@@ -85,14 +85,16 @@ bool CompileScanKernel(const Expr& pred, const RowSet& scope,
 void ApplyScanKernel(const ScanKernel& kernel, const StorageColumn& column,
                      SelectionVector* sel);
 
-/// Appends the values of `cols` at table rows rows[0], rows[stride], ...,
-/// rows[(n - 1) * stride] to the rows out[0], ..., out[n - 1], a column at
-/// a time so the per-column type dispatch is hoisted out of the row loop.
+/// Overwrites slot `slot` of the rows out[0], ..., out[n - 1] with the
+/// values of `column` at table rows rows[0], rows[stride], ...,
+/// rows[(n - 1) * stride], in place: a number is set as a word and a
+/// string is assigned into the slot's buffer, so a row that is reused
+/// allocates nothing. The type dispatch is hoisted out of the row loop.
 /// `stride` steps over the other sources of an index tuple (see the
 /// executor's index form); a selection vector has stride 1.
-void GatherRows(const EngineTable& table, const std::vector<int>& cols,
-                const uint32_t* rows, size_t n, size_t stride,
-                std::vector<Value>* out);
+void GatherColumn(const StorageColumn& column, const uint32_t* rows,
+                  size_t n, size_t stride, size_t slot,
+                  std::vector<Value>* out);
 
 /// Min/max summary of one kBatchRows block of an int-backed column.
 struct ZoneEntry {

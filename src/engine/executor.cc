@@ -211,11 +211,105 @@ Value::Kind FirstKind(const IndexedRows& in, const IndexedCol& col) {
   return Value::Kind::kNull;
 }
 
+/// Reads the index form's rows as boxed rows, a global morsel at a time:
+/// rows [b, e) of the chunks concatenated, whichever chunks hold them, so
+/// work split into kBatchRows morsels of the reader has the boundaries it
+/// has over the materialised rows. Read writes the slots marked in `read`
+/// (every slot when it is empty) in place: source 0's columns gathered
+/// from storage a column at a time, a build source's values copied from
+/// its row, NULL for a LEFT JOIN miss. Materialize reads every slot into
+/// the final rows; an aggregate or a project reads the slots its
+/// expressions use into a scratch batch it reuses.
+class IndexReader {
+ public:
+  IndexReader(const IndexedRows& in, const std::vector<bool>& read)
+      : in_(in), offset_(in.chunks.size() + 1, 0) {
+    size_t k = in.sources();
+    for (size_t c = 0; c < in.chunks.size(); ++c) {
+      offset_[c + 1] = offset_[c] + in.chunks[c].size() / k;
+    }
+    size_t slot = 0;
+    for (size_t s = 0; s < k; ++s) {
+      for (size_t i = 0; i < in.widths[s]; ++i, ++slot) {
+        if (!read.empty() && !read[slot]) continue;
+        Col col{s, slot, i, nullptr};
+        if (s == 0) {
+          col.storage = &in.table->column(
+              static_cast<size_t>((*in.scan_cols)[i]));
+        }
+        cols_.push_back(col);
+      }
+    }
+    width_ = slot;
+  }
+
+  size_t size() const { return offset_.back(); }
+  size_t width() const { return width_; }
+
+  /// Writes the read slots of rows [b, e) into out[0], ..., out[e - b - 1],
+  /// each at least width() values wide.
+  void Read(size_t b, size_t e, std::vector<Value>* out) const {
+    size_t k = in_.sources();
+    size_t c = static_cast<size_t>(
+        std::upper_bound(offset_.begin(), offset_.end(), b) -
+        offset_.begin() - 1);
+    for (size_t row = b; row < e; ++c) {
+      size_t n = std::min(e, offset_[c + 1]) - row;
+      if (n == 0) continue;  // an empty chunk
+      const uint32_t* tuples = &in_.chunks[c][(row - offset_[c]) * k];
+      std::vector<Value>* rows = out + (row - b);
+      for (const Col& col : cols_) {
+        if (col.storage != nullptr) {
+          GatherColumn(*col.storage, tuples, n, k, col.slot, rows);
+          continue;
+        }
+        const std::vector<std::vector<Value>>& build =
+            in_.builds[col.source - 1]->rows;
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t r = tuples[i * k + col.source];
+          if (r == KeyTable::kNone) {
+            rows[i][col.slot].SetNull();
+          } else {
+            rows[i][col.slot] = build[r][col.at];
+          }
+        }
+      }
+      row += n;
+    }
+  }
+
+ private:
+  struct Col {
+    size_t source;  // index within the tuple
+    size_t slot;    // slot in the boxed row
+    size_t at;      // column within its source
+    const StorageColumn* storage;  // source 0
+  };
+
+  const IndexedRows& in_;
+  std::vector<size_t> offset_;  // offset_[c]: rows before chunk c
+  std::vector<Col> cols_;
+  size_t width_ = 0;
+};
+
 // ------------------------------------------------------------ aggregates
+
+/// True when `values` holds both a DATE and a string: then Value::Compare
+/// equates some of them although they hash apart (see DateKey).
+bool HoldsDatesAndStrings(const ValueSet& values) {
+  bool dates = false;
+  bool strings = false;
+  for (const Value& v : values) {
+    dates |= v.kind() == Value::Kind::kDate;
+    strings |= v.kind() == Value::Kind::kString;
+  }
+  return dates && strings;
+}
 
 class Accumulator {
  public:
-  explicit Accumulator(const PlanAggSpec* spec) : spec_(spec) {}
+  explicit Accumulator(const PlanAggSpec* spec)
+      : spec_(spec), fn_(FunctionOf(spec->function)) {}
 
   void Add(const Value& v) {
     if (spec_->star) {
@@ -251,27 +345,85 @@ class Accumulator {
     for (const Value& v : o.distinct_) distinct_.insert(v);
   }
 
+  /// A distinct set that holds dates and strings counts a string naming a
+  /// date as that date, as GROUP BY keys it.
   Value Finalize() const {
     if (spec_->distinct && !spec_->star) {
+      const ValueSet* values = &distinct_;
+      ValueSet keyed;
+      if (HoldsDatesAndStrings(distinct_)) {
+        for (const Value& v : distinct_) {
+          Value d = DateKey(v);
+          keyed.insert(d.is_null() ? v : std::move(d));
+        }
+        values = &keyed;
+      }
       Accumulator plain(&plain_spec());
-      for (const Value& v : distinct_) plain.Accept(v);
-      plain.count_ = static_cast<int64_t>(distinct_.size());
-      return plain.FinalizePlain(spec_->function);
+      for (const Value& v : *values) plain.Accept(v);
+      plain.count_ = static_cast<int64_t>(values->size());
+      return plain.FinalizePlain(fn_);
     }
-    return FinalizePlain(spec_->function);
+    return FinalizePlain(fn_);
   }
 
  private:
+  /// The aggregate function, mapped once from its name. kAll, for the
+  /// plain accumulator a DISTINCT aggregate finalises through, keeps
+  /// every field.
+  enum class Fn : uint8_t { kCount, kSum, kAvg, kMin, kMax, kStddev, kAll };
+
+  static Fn FunctionOf(const std::string& function) {
+    if (function == "COUNT") return Fn::kCount;
+    if (function == "SUM") return Fn::kSum;
+    if (function == "AVG") return Fn::kAvg;
+    if (function == "MIN") return Fn::kMin;
+    if (function == "MAX") return Fn::kMax;
+    if (function == "STDDEV_SAMP") return Fn::kStddev;
+    return Fn::kAll;
+  }
+
   static const PlanAggSpec& plain_spec() {
     static const PlanAggSpec& s = *new PlanAggSpec{};
     return s;
   }
 
+  /// Updates the fields FinalizePlain reads for this function.
   void Accept(const Value& v) {
     ++count_;
-    double d = v.AsDouble();
-    sum_double_ += d;
-    sum_squares_ += d * d;
+    switch (fn_) {
+      case Fn::kCount:
+        return;
+      case Fn::kAvg:
+        sum_double_ += v.AsDouble();
+        return;
+      case Fn::kStddev: {
+        double d = v.AsDouble();
+        sum_double_ += d;
+        sum_squares_ += d * d;
+        return;
+      }
+      case Fn::kMin:
+        if (min_.is_null() || Value::Compare(v, min_) < 0) min_ = v;
+        return;
+      case Fn::kMax:
+        if (max_.is_null() || Value::Compare(v, max_) > 0) max_ = v;
+        return;
+      case Fn::kSum:
+        AcceptSum(v);
+        return;
+      case Fn::kAll: {
+        AcceptSum(v);
+        double d = v.AsDouble();
+        sum_squares_ += d * d;
+        if (min_.is_null() || Value::Compare(v, min_) < 0) min_ = v;
+        if (max_.is_null() || Value::Compare(v, max_) > 0) max_ = v;
+        return;
+      }
+    }
+  }
+
+  void AcceptSum(const Value& v) {
+    sum_double_ += v.AsDouble();
     if (v.kind() == Value::Kind::kDecimal) {
       sum_cents_ += v.AsDecimal().cents();
       saw_decimal_ = true;
@@ -280,33 +432,34 @@ class Accumulator {
     } else {
       saw_double_ = true;
     }
-    if (min_.is_null() || Value::Compare(v, min_) < 0) min_ = v;
-    if (max_.is_null() || Value::Compare(v, max_) > 0) max_ = v;
   }
 
-  Value FinalizePlain(const std::string& function) const {
-    if (function == "COUNT") return Value::Int(count_);
+  Value FinalizePlain(Fn fn) const {
+    if (fn == Fn::kCount) return Value::Int(count_);
     if (count_ == 0) return Value::Null();
-    if (function == "SUM") {
-      if (saw_double_) return Value::Dbl(sum_double_);
-      if (saw_decimal_) {
-        return Value::Dec(
-            Decimal::FromCents(sum_cents_ + sum_int_ * Decimal::kScale));
+    switch (fn) {
+      case Fn::kSum:
+        if (saw_double_) return Value::Dbl(sum_double_);
+        if (saw_decimal_) {
+          return Value::Dec(
+              Decimal::FromCents(sum_cents_ + sum_int_ * Decimal::kScale));
+        }
+        return Value::Int(sum_int_);
+      case Fn::kAvg:
+        return Value::Dbl(sum_double_ / static_cast<double>(count_));
+      case Fn::kMin:
+        return min_;
+      case Fn::kMax:
+        return max_;
+      case Fn::kStddev: {
+        if (count_ < 2) return Value::Null();
+        double n = static_cast<double>(count_);
+        double var = (sum_squares_ - sum_double_ * sum_double_ / n) / (n - 1);
+        return Value::Dbl(var < 0 ? 0.0 : std::sqrt(var));
       }
-      return Value::Int(sum_int_);
+      default:
+        return Value::Null();
     }
-    if (function == "AVG") {
-      return Value::Dbl(sum_double_ / static_cast<double>(count_));
-    }
-    if (function == "MIN") return min_;
-    if (function == "MAX") return max_;
-    if (function == "STDDEV_SAMP") {
-      if (count_ < 2) return Value::Null();
-      double n = static_cast<double>(count_);
-      double var = (sum_squares_ - sum_double_ * sum_double_ / n) / (n - 1);
-      return Value::Dbl(var < 0 ? 0.0 : std::sqrt(var));
-    }
-    return Value::Null();
   }
 
   const PlanAggSpec* spec_;
@@ -317,6 +470,7 @@ class Accumulator {
   double sum_squares_ = 0.0;
   bool saw_decimal_ = false;
   bool saw_double_ = false;
+  Fn fn_;
   Value min_;
   Value max_;
   ValueSet distinct_;
@@ -513,24 +667,39 @@ class PlanExecutor : public SubqueryEvaluator {
   /// output into the governor's error.
   template <typename Fn>
   void ParallelFor(size_t count, const Fn& fn) {
+    ParallelForWorkers(count, [&fn](size_t i, size_t) { fn(i); });
+  }
+
+  /// The threads a ParallelFor runs units on: the pool's and the caller.
+  size_t Workers() const {
+    return pool_ == nullptr ? 1 : pool_->num_threads() + 1;
+  }
+
+  /// ParallelFor with fn(i, worker): `worker` < Workers() names the thread
+  /// running unit i (0 is the calling thread), so a unit may use scratch
+  /// space that belongs to that thread.
+  template <typename Fn>
+  void ParallelForWorkers(size_t count, const Fn& fn) {
     QueryGovernor* gov = governor_;
     if (pool_ == nullptr || count <= 1) {
       for (size_t i = 0; i < count; ++i) {
         if (gov->cancelled()) return;
-        fn(i);
+        fn(i, 0);
       }
       return;
     }
     std::atomic<size_t> next{0};
-    auto drain = [&next, &fn, gov, count] {
+    auto drain = [&next, &fn, gov, count](size_t worker) {
       for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
         if (gov->cancelled()) return;
-        fn(i);
+        fn(i, worker);
       }
     };
     size_t helpers = std::min(pool_->num_threads(), count - 1);
-    for (size_t t = 0; t < helpers; ++t) pool_->Submit(drain);
-    drain();
+    for (size_t t = 0; t < helpers; ++t) {
+      pool_->Submit([&drain, t] { drain(t + 1); });
+    }
+    drain(0);
     pool_->WaitIdle();
   }
 
@@ -769,46 +938,27 @@ class PlanExecutor : public SubqueryEvaluator {
         static_cast<int64_t>(rows * sources * sizeof(uint32_t)));
   }
 
-  /// Boxes the index form's rows, once, at the top of a join pipeline:
-  /// chunk by chunk into their final slots, source 0's columns gathered
-  /// from storage a column at a time, then each build source's row, or
-  /// NULLs for a LEFT JOIN miss. The rows were counted where they were
-  /// produced; their bytes are charged here.
+  /// Boxes the index form's rows, once, at the top of a join pipeline,
+  /// for a consumer that does not read the index form itself: the
+  /// IndexReader writes every slot, a morsel at a time, into the final
+  /// rows. The rows were counted where they were produced; their bytes
+  /// are charged here.
   Result<std::shared_ptr<RowSet>> Materialize(Result<IndexedRows> result) {
     TPCDS_ASSIGN_OR_RETURN(IndexedRows in, std::move(result));
+    IndexReader reader(in, {});
     auto out = std::make_shared<RowSet>();
-    out->cols = std::move(in.cols);
-    size_t k = in.sources();
-    size_t width = 0;
-    for (size_t w : in.widths) width += w;
-    std::vector<size_t> offset(in.chunks.size() + 1, 0);
-    for (size_t c = 0; c < in.chunks.size(); ++c) {
-      offset[c + 1] = offset[c] + in.chunks[c].size() / k;
-    }
-    out->rows.resize(offset.back());
-    ForEachUnit(in.chunks.size(), [&](size_t c) {
-      const std::vector<uint32_t>& chunk = in.chunks[c];
-      size_t n = chunk.size() / k;
-      std::vector<Value>* rows = &out->rows[offset[c]];
-      for (size_t i = 0; i < n; ++i) rows[i].reserve(width);
-      GatherRows(*in.table, *in.scan_cols, chunk.data(), n, k, rows);
-      for (size_t s = 1; s < k; ++s) {
-        const RowList& build = in.builds[s - 1]->rows;
-        for (size_t i = 0; i < n; ++i) {
-          uint32_t r = chunk[i * k + s];
-          if (r == KeyTable::kNone) {
-            rows[i].resize(rows[i].size() + in.widths[s]);
-          } else {
-            rows[i].insert(rows[i].end(), build[r].begin(), build[r].end());
-          }
-        }
-      }
+    out->rows.resize(reader.size());
+    ForEachMorsel(reader.size(), [&](size_t b, size_t e, size_t) {
+      std::vector<Value>* rows = &out->rows[b];
+      for (size_t i = 0; i < e - b; ++i) rows[i].resize(reader.width());
+      reader.Read(b, e, rows);
       if (track_) {
         int64_t bytes = 0;
-        for (size_t i = 0; i < n; ++i) bytes += ApproxRowBytes(rows[i]);
+        for (size_t i = 0; i < e - b; ++i) bytes += ApproxRowBytes(rows[i]);
         governor_->Reserve(bytes);
       }
     });
+    out->cols = std::move(in.cols);
     return out;
   }
 
@@ -1095,6 +1245,14 @@ class PlanExecutor : public SubqueryEvaluator {
       if (slot >= 0) return row[static_cast<size_t>(slot)];
       *scratch = expr->Eval(row);
       return *scratch;
+    }
+    /// Assigns the key to *out, reusing its buffer for a bare column.
+    void ReadInto(const std::vector<Value>& row, Value* out) const {
+      if (slot >= 0) {
+        *out = row[static_cast<size_t>(slot)];
+      } else {
+        *out = expr->Eval(row);
+      }
     }
   };
 
@@ -1983,9 +2141,96 @@ class PlanExecutor : public SubqueryEvaluator {
     return rs;
   }
 
+  /// The input of an aggregate or a project: its child's rows, in index
+  /// form when the child is Indexable() (the child's pipeline is then
+  /// never boxed), else boxed.
+  struct RowInput {
+    std::shared_ptr<RowSet> boxed;
+    std::optional<IndexedRows> indexed;
+    RowSet scope;  // the child's schema, to bind against
+
+    size_t size() const {
+      return indexed ? indexed->size() : boxed->rows.size();
+    }
+  };
+
+  Result<RowInput> ExecInput(const PlanNode& node) {
+    const std::shared_ptr<PlanNode>& child = node.children[0];
+    RowInput in;
+    if (Indexable(*child)) {
+      TPCDS_ASSIGN_OR_RETURN(in.indexed, ExecIndexed(child));
+      in.scope.cols = in.indexed->cols;
+      node.stats.vectorized = true;
+    } else {
+      TPCDS_ASSIGN_OR_RETURN(in.boxed, Exec(child));
+      in.scope.cols = in.boxed->cols;
+    }
+    return in;
+  }
+
+  /// The slots of `scope` that the column references of `exprs` resolve
+  /// to, as BindExpr resolves them; empty (every slot) when one does not
+  /// resolve.
+  static std::vector<bool> SlotsRead(const std::vector<const Expr*>& exprs,
+                                     const RowSet& scope) {
+    std::vector<bool> read(scope.cols.size(), false);
+    auto mark = [&](const Expr& e, const auto& self) -> bool {
+      if (e.tag == Expr::Tag::kColumnRef) {
+        Result<int> slot = scope.Resolve(e.qualifier, e.name);
+        if (slot.ok()) read[static_cast<size_t>(*slot)] = true;
+        return slot.ok();
+      }
+      for (const auto& c : e.children) {
+        if (!self(*c, self)) return false;
+      }
+      return true;
+    };
+    for (const Expr* e : exprs) {
+      if (!mark(*e, mark)) return {};
+    }
+    return read;
+  }
+
+  /// Runs fn(m, rows, n) for each kBatchRows morsel m of the input, where
+  /// rows[0], ..., rows[n - 1] are its rows. Boxed rows are passed as
+  /// they are. The index form is read, only in the slots marked in
+  /// `read` (every slot when it is empty), into the running worker's
+  /// scratch batch, which holds at most kBatchRows rows and is
+  /// overwritten in place by every morsel.
+  template <typename Fn>
+  void ForEachInputMorsel(const RowInput& in, const std::vector<bool>& read,
+                          const Fn& fn) {
+    if (!in.indexed) {
+      const RowList& rows = in.boxed->rows;
+      ForEachMorsel(rows.size(), [&](size_t b, size_t e, size_t m) {
+        fn(m, &rows[b], e - b);
+      });
+      return;
+    }
+    IndexReader reader(*in.indexed, read);
+    size_t n = reader.size();
+    size_t rows = std::min(n, kBatchRows);
+    if (batches_.size() < Workers()) batches_.resize(Workers());
+    std::vector<uint8_t> shaped(batches_.size(), 0);
+    QueryGovernor* gov = governor_;
+    bool checked = track_;
+    ParallelForWorkers(MorselCount(n), [&](size_t m, size_t worker) {
+      if (checked && !gov->BeginMorsel()) return;
+      RowList& batch = batches_[worker];
+      if (shaped[worker] == 0) {
+        if (batch.size() < rows) batch.resize(rows);
+        for (size_t i = 0; i < rows; ++i) batch[i].resize(reader.width());
+        shaped[worker] = 1;
+      }
+      size_t b = m * kBatchRows;
+      size_t e = std::min(n, b + kBatchRows);
+      reader.Read(b, e, batch.data());
+      fn(m, batch.data(), e - b);
+    });
+  }
+
   Result<std::shared_ptr<RowSet>> ExecProject(const PlanNode& node) {
-    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> input,
-                           Exec(node.children[0]));
+    TPCDS_ASSIGN_OR_RETURN(RowInput input, ExecInput(node));
     std::vector<std::unique_ptr<BoundExpr>> projections;
     projections.reserve(node.projections.size());
     for (const PlanProjection& p : node.projections) {
@@ -1993,27 +2238,28 @@ class PlanExecutor : public SubqueryEvaluator {
         projections.push_back(std::make_unique<SlotExpr>(p.slot));
       } else {
         TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> b,
-                               BindExpr(*p.expr, *input, this));
+                               BindExpr(*p.expr, input.scope, this));
         projections.push_back(std::move(b));
       }
     }
     auto out = std::make_shared<RowSet>();
     out->cols = node.schema;
     out->num_visible = node.num_visible;
-    size_t n = input->rows.size();
-    out->rows.resize(n);  // 1:1 mapping: write morsel outputs in place
-    ForEachMorsel(n, [&](size_t b, size_t e, size_t) {
+    out->rows.resize(input.size());  // 1:1 mapping: write outputs in place
+    // Every slot is read: an output row passes its input row through.
+    ForEachInputMorsel(input, {}, [&](size_t m, const std::vector<Value>* rows,
+                                      size_t n) {
       int64_t bytes = 0;
-      for (size_t r = b; r < e; ++r) {
-        const auto& row = input->rows[r];
+      for (size_t r = 0; r < n; ++r) {
+        const std::vector<Value>& row = rows[r];
         std::vector<Value> projected;
         projected.reserve(out->cols.size());
         for (const auto& p : projections) projected.push_back(p->Eval(row));
         for (const Value& v : row) projected.push_back(v);
         if (track_) bytes += ApproxRowBytes(projected);
-        out->rows[r] = std::move(projected);
+        out->rows[m * kBatchRows + r] = std::move(projected);
       }
-      if (track_ && governor_->ChargeRows(static_cast<int64_t>(e - b))) {
+      if (track_ && governor_->ChargeRows(static_cast<int64_t>(n))) {
         governor_->Reserve(bytes);
       }
     });
@@ -2452,67 +2698,71 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   Result<std::shared_ptr<RowSet>> ExecAggregate(const PlanNode& node) {
-    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> input,
-                           Exec(node.children[0]));
-    TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> key_exprs,
-                           BindAll(node.group_by, *input));
-    std::vector<std::unique_ptr<BoundExpr>> arg_exprs;
+    TPCDS_ASSIGN_OR_RETURN(RowInput input, ExecInput(node));
+    std::vector<const Expr*> read_exprs = node.group_by;
+    std::vector<KeyReader> keys;
+    for (const Expr* e : node.group_by) {
+      TPCDS_ASSIGN_OR_RETURN(KeyReader key, BindKey(*e, input.scope));
+      keys.push_back(std::move(key));
+    }
+    std::vector<KeyReader> args;
     for (const PlanAggSpec& spec : node.aggs) {
-      if (spec.arg == nullptr) {
-        arg_exprs.push_back(nullptr);
-      } else {
-        TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> b,
-                               BindExpr(*spec.arg, *input, this));
-        arg_exprs.push_back(std::move(b));
+      args.emplace_back();
+      if (spec.arg != nullptr) {
+        TPCDS_ASSIGN_OR_RETURN(args.back(), BindKey(*spec.arg, input.scope));
+        read_exprs.push_back(spec.arg);
       }
     }
 
-    size_t nkeys = key_exprs.size();
+    size_t nkeys = keys.size();
     size_t naggs = node.aggs.size();
-    size_t n = input->rows.size();
 
     // Phase 1: morsel-parallel partial aggregation at the leaf depth
     // (all group keys evaluated). Each morsel fills its own table in
     // first-appearance order; the partition merge below recombines them
     // in a sequence that depends only on the input.
-    size_t morsels = MorselCount(n);
-    std::vector<AggTable> partials(morsels);
-    ForEachMorsel(n, [&](size_t b, size_t e, size_t m) {
-      AggTable& pt = partials[m];
-      pt.Reserve(e - b);
-      std::vector<Value> scratch(nkeys);
-      int64_t group_bytes = 0;
-      for (size_t r = b; r < e; ++r) {
-        const auto& row = input->rows[r];
-        for (size_t k = 0; k < nkeys; ++k) scratch[k] = key_exprs[k]->Eval(row);
-        auto it = pt.index.find(GroupKeyView::Of(scratch));
-        uint32_t g;
-        if (it == pt.index.end()) {
-          if (track_) {
-            group_bytes += ApproxRowBytes(scratch) +
-                           static_cast<int64_t>(naggs * sizeof(Accumulator));
+    std::vector<AggTable> partials(MorselCount(input.size()));
+    const Value one = Value::Int(1);
+    ForEachInputMorsel(
+        input, SlotsRead(read_exprs, input.scope),
+        [&](size_t m, const std::vector<Value>* rows, size_t n) {
+          AggTable& pt = partials[m];
+          pt.Reserve(n);
+          std::vector<Value> scratch(nkeys);
+          Value arg;
+          int64_t group_bytes = 0;
+          for (size_t r = 0; r < n; ++r) {
+            const std::vector<Value>& row = rows[r];
+            for (size_t k = 0; k < nkeys; ++k) {
+              keys[k].ReadInto(row, &scratch[k]);
+            }
+            auto it = pt.index.find(GroupKeyView::Of(scratch));
+            uint32_t g;
+            if (it == pt.index.end()) {
+              if (track_) {
+                group_bytes +=
+                    ApproxRowBytes(scratch) +
+                    static_cast<int64_t>(naggs * sizeof(Accumulator));
+              }
+              g = pt.Insert(std::move(scratch), FreshAccumulators(node));
+              scratch.assign(nkeys, Value());
+            } else {
+              g = it->second;
+            }
+            for (size_t i = 0; i < naggs; ++i) {
+              pt.accs[g][i].Add(node.aggs[i].star ? one
+                                                  : args[i].Read(row, &arg));
+            }
           }
-          g = pt.Insert(std::move(scratch), FreshAccumulators(node));
-          scratch.assign(nkeys, Value());
-        } else {
-          g = it->second;
-        }
-        for (size_t i = 0; i < naggs; ++i) {
-          if (node.aggs[i].star) {
-            pt.accs[g][i].Add(Value::Int(1));
-          } else {
-            pt.accs[g][i].Add(arg_exprs[i]->Eval(row));
+          // Charge the aggregate hash-table build: each new group holds its
+          // key plus one accumulator per aggregate.
+          if (track_ &&
+              governor_->ChargeRows(static_cast<int64_t>(pt.size()))) {
+            governor_->Reserve(group_bytes);
           }
-        }
-      }
-      // Charge the aggregate hash-table build: each new group holds its
-      // key plus one accumulator per aggregate.
-      if (track_ &&
-          governor_->ChargeRows(static_cast<int64_t>(pt.size()))) {
-        governor_->Reserve(group_bytes);
-      }
-    });
+        });
     AggTable groups = MergePartials(&partials, naggs);
+    FoldDateKeyedGroups(&groups, nkeys, naggs);
 
     if (node.rollup && nkeys > 0 && !governor_->cancelled()) {
       // SQL-99 subtotal levels n-1, ..., 0, each computed from the
@@ -2543,6 +2793,8 @@ class PlanExecutor : public SubqueryEvaluator {
           }
         }
       }
+      // Subtotal keys whose prefixes hold a date and the string naming it.
+      FoldDateKeyedGroups(&groups, nkeys, naggs);
     }
 
     // No GROUP BY and no input rows still yields one (empty) group.
@@ -2708,6 +2960,35 @@ class PlanExecutor : public SubqueryEvaluator {
     return mixed;
   }
 
+  /// Groups as GROUP BY compares their keys. Where a key position holds
+  /// dates in some groups and strings in others, a string naming a date
+  /// keys as that date (MixedDateColumns / DateKeyed), so groups that
+  /// Value::Compare equates but that hashed apart fold into one: the
+  /// first-seen group keeps its key, and each later one merges into it in
+  /// first-seen order, which no worker count changes.
+  static void FoldDateKeyedGroups(AggTable* groups, size_t nkeys,
+                                  size_t naggs) {
+    std::vector<bool> mixed = MixedDateColumns({&groups->keys}, nkeys);
+    if (mixed.empty()) return;
+    RowList copy;
+    const RowList& keyed = DateKeyed(groups->keys, mixed, &copy);
+    std::unordered_map<GroupKeyView, uint32_t, GroupKeyHash, GroupKeyEq>
+        first;
+    AggTable folded;
+    for (size_t g = 0; g < groups->size(); ++g) {
+      auto [it, fresh] = first.try_emplace(
+          GroupKeyView::Of(keyed[g]), static_cast<uint32_t>(folded.size()));
+      if (fresh) {
+        folded.Insert(std::move(groups->keys[g]), std::move(groups->accs[g]));
+        continue;
+      }
+      for (size_t a = 0; a < naggs; ++a) {
+        folded.accs[it->second][a].Merge(groups->accs[g][a]);
+      }
+    }
+    *groups = std::move(folded);
+  }
+
   /// Rows as set operations and DISTINCT compare them. Value::Compare
   /// equates a DATE with a string naming it, but Hash keeps them apart
   /// (see DateKey), so in the `mixed` columns a string naming a date is
@@ -2778,6 +3059,9 @@ class PlanExecutor : public SubqueryEvaluator {
   ThreadPool* pool_ = nullptr;
   std::map<std::string, std::shared_ptr<RowSet>> cte_results_;
   std::map<const PlanNode*, std::shared_ptr<RowSet>> memo_;
+  /// Per worker, the scratch batch an aggregate or a project reads the
+  /// index form into (ForEachInputMorsel); kept warm across operators.
+  std::vector<RowList> batches_;
   /// Join-key filters registered on scans by enclosing hash/semi joins.
   /// Registration and unregistration happen in the (serial) operator
   /// open/close path; only morsel workers read it concurrently.

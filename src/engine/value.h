@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/date.h"
 #include "util/decimal.h"
@@ -52,6 +53,17 @@ class Value {
   }
   static Value Bool(bool b) { return Int(b ? 1 : 0); }
 
+  /// In-place setters for a slot of a reused row: each leaves the Value
+  /// equal to the one its factory builds, but keeps the string buffer, so
+  /// a warm slot allocates nothing unless a string outgrows it.
+  void SetNull() { Set(Kind::kNull, 0); }
+  /// `kind` is one stored as a word: kInt, kDecimal (cents) or kDate (JDN).
+  void SetWord(Kind kind, int64_t word) { Set(kind, word); }
+  void SetStr(std::string_view s) {
+    Set(Kind::kString, 0);
+    str_.assign(s.data(), s.size());
+  }
+
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_numeric() const {
@@ -84,6 +96,13 @@ class Value {
   std::string ToDisplayString() const;
 
  private:
+  void Set(Kind kind, int64_t num) {
+    kind_ = kind;
+    num_ = num;
+    dbl_ = 0.0;
+    str_.clear();
+  }
+
   Kind kind_;
   int64_t num_ = 0;  // int / decimal cents / date jdn
   double dbl_ = 0.0;

@@ -1,7 +1,8 @@
 // Pins "materialized once" with an exact count: this binary replaces the
 // global operator new and counts the heap allocations one three-join chain
 // query makes at parallelism 1. On the vectorized path the chain carries
-// row indices and boxes each output row once, at its top; the reference
+// row indices and boxes each output row at most once, at its top, and not
+// at all under an aggregate, which reads the indices itself; the reference
 // path boxes every row at every level.
 
 #include <gtest/gtest.h>
@@ -38,10 +39,15 @@ namespace {
 
 constexpr int kFactRows = 6000;  // five full morsels and a part
 
-/// A fact table whose every row matches exactly one row of each of three
-/// small dimensions, all integer columns, so no value owns a heap buffer
-/// and the chain's output is the fact table's row count.
-void BuildStar(Database* db) {
+const char* const kChainAggregate =
+    "SELECT COUNT(*), SUM(d1.v + d2.v + d3.v) FROM f "
+    "JOIN d1 ON f.k1 = d1.k JOIN d2 ON f.k2 = d2.k "
+    "JOIN d3 ON f.k3 = d3.k";
+
+/// A fact table of `fact_rows` rows whose every row matches exactly one
+/// row of each of three small dimensions, all integer columns, so no value
+/// owns a heap buffer and the chain's output is the fact table's row count.
+void BuildStar(Database* db, int fact_rows = kFactRows) {
   ASSERT_TRUE(db->CreateTable("f", {{"k1", ColumnType::kInteger},
                                     {"k2", ColumnType::kInteger},
                                     {"k3", ColumnType::kInteger}})
@@ -58,7 +64,7 @@ void BuildStar(Database* db) {
     }
   }
   EngineTable* f = db->FindTable("f");
-  for (int i = 0; i < kFactRows; ++i) {
+  for (int i = 0; i < fact_rows; ++i) {
     ASSERT_TRUE(f->AppendRowStrings({std::to_string(i % 20),
                                      std::to_string(i * 7 % 20),
                                      std::to_string(i * 11 % 20)})
@@ -80,10 +86,7 @@ int64_t AllocationsOf(Database* db, const std::string& sql,
 TEST(AllocationCountTest, ThreeJoinChainBoxesEachOutputRowOnce) {
   Database db;
   BuildStar(&db);
-  const std::string sql =
-      "SELECT COUNT(*), SUM(d1.v + d2.v + d3.v) FROM f "
-      "JOIN d1 ON f.k1 = d1.k JOIN d2 ON f.k2 = d2.k "
-      "JOIN d3 ON f.k3 = d3.k";
+  const std::string sql = kChainAggregate;
   PlannerOptions options = db.default_options();
   options.parallelism = 1;
   int64_t rows = 0;
@@ -91,8 +94,8 @@ TEST(AllocationCountTest, ThreeJoinChainBoxesEachOutputRowOnce) {
   AllocationsOf(&db, sql, options, &rows);
   int64_t vectorized = AllocationsOf(&db, sql, options, &rows);
   ASSERT_EQ(rows, kFactRows);
-  // One boxed row per output row, plus parsing, planning, the three
-  // build sides and a few index vectors per morsel.
+  // At most one boxed row per output row, plus parsing, planning, the
+  // three build sides and a few index vectors per morsel.
   EXPECT_LE(vectorized, rows + 1000) << vectorized << " allocations";
 
   options.vectorized_execution = false;
@@ -101,6 +104,26 @@ TEST(AllocationCountTest, ThreeJoinChainBoxesEachOutputRowOnce) {
   ASSERT_EQ(rows, kFactRows);
   // The scan and each of the three joins box every row.
   EXPECT_GE(reference, 3 * rows) << reference << " allocations";
+}
+
+TEST(AllocationCountTest, AggregateAtopAChainBoxesNothingPerRow) {
+  // The aggregate reads the chain's index form itself, into a scratch
+  // batch it reuses: doubling the fact rows adds a few index vectors per
+  // morsel, and no allocation per row.
+  int64_t counts[2] = {0, 0};
+  for (int size : {0, 1}) {
+    Database db;
+    BuildStar(&db, kFactRows * (size + 1));
+    PlannerOptions options = db.default_options();
+    options.parallelism = 1;
+    int64_t rows = 0;
+    AllocationsOf(&db, kChainAggregate, options, &rows);
+    counts[size] = AllocationsOf(&db, kChainAggregate, options, &rows);
+    ASSERT_EQ(rows, kFactRows * (size + 1));
+  }
+  EXPECT_LE(counts[1] - counts[0], 500)
+      << counts[0] << " allocations at " << kFactRows << " fact rows, "
+      << counts[1] << " at " << 2 * kFactRows;
 }
 
 }  // namespace

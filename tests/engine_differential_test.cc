@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <iterator>
 #include <map>
@@ -457,7 +458,21 @@ TEST_F(TypedJoinTest, DateEqualsTheStringNamingIt) {
       // Set operations compare whole rows the same way.
       {"SELECT dt FROM a INTERSECT SELECT ds FROM b", 1},
       {"SELECT dt FROM a EXCEPT SELECT ds FROM b", 0},
-      {"SELECT dt FROM a UNION SELECT ds FROM b", 1}};
+      {"SELECT dt FROM a UNION SELECT ds FROM b", 1},
+      // GROUP BY and COUNT(DISTINCT) key a date and the string naming it
+      // as one value, whichever UNION ALL branch comes first.
+      {"SELECT k FROM (SELECT dt AS k FROM a UNION ALL SELECT ds AS k "
+       "FROM b) t GROUP BY k",
+       1},
+      {"SELECT k FROM (SELECT ds AS k FROM b UNION ALL SELECT dt AS k "
+       "FROM a) t GROUP BY k",
+       1},
+      {"SELECT k FROM (SELECT dt AS k FROM a UNION ALL SELECT ds AS k "
+       "FROM b) t GROUP BY k HAVING COUNT(*) = 2",
+       1},
+      {"SELECT COUNT(DISTINCT k) FROM (SELECT dt AS k FROM a UNION ALL "
+       "SELECT ds AS k FROM b) t HAVING COUNT(DISTINCT k) = 1",
+       1}};
   for (const auto& [sql, expected] : queries) {
     for (bool vectorized : {false, true}) {
       for (int workers : {1, 4}) {
@@ -487,9 +502,10 @@ TEST_F(TypedJoinTest, StringAndMixedKindKeysKeepTheBoxedTable) {
 
 /// Join pipelines in index form: on the vectorized path a chain of scan,
 /// star semi-joins and hash joins carries row indices and boxes each
-/// output row once, at its top. A mini star schema: a fact table of six
-/// morsels and small dimensions. No statement has an ORDER BY, so the CSV
-/// also pins the order rows are emitted in.
+/// output row once, at its top, or not at all under an aggregate or a
+/// project, which read the indices themselves. A mini star schema: a fact
+/// table of six morsels and small dimensions. No statement has an ORDER
+/// BY, so the comparison also pins the order rows are emitted in.
 class IndexFormTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -502,6 +518,7 @@ class IndexFormTest : public ::testing::Test {
     std::vector<EngineTable::ColumnMeta> fact =
         ints({"id", "k1", "k2", "k3", "kc1", "kc2", "v"});
     fact.push_back({"ks", ColumnType::kVarchar});
+    fact.push_back({"m", ColumnType::kDecimal});
     ASSERT_TRUE(db_->CreateTable("f", fact).ok());
     ASSERT_TRUE(db_->CreateTable("d1", ints({"k1", "a", "g"})).ok());
     ASSERT_TRUE(db_->CreateTable("d2", ints({"k2", "b", "x"})).ok());
@@ -514,13 +531,17 @@ class IndexFormTest : public ::testing::Test {
     ASSERT_TRUE(db_->CreateTable("e", ints({"k", "w"})).ok());  // empty
     EngineTable* f = db_->FindTable("f");
     for (int i = 0; i < kFactRows; ++i) {
-      // k1 is NULL on every 31st row; k2 misses d2 on a quarter of them.
+      // k1 is NULL on every 31st row; k2 misses d2 on a quarter of them;
+      // m is NULL on every 13th.
       ASSERT_TRUE(f->AppendRowStrings(
                        {std::to_string(i),
                         i % 31 == 0 ? "" : std::to_string(i * 7 % 50),
                         std::to_string(i % 40), std::to_string(i % 20),
                         std::to_string(i % 7), std::to_string(i % 5),
-                        std::to_string(i % 100), "s" + std::to_string(i % 12)})
+                        std::to_string(i % 100), "s" + std::to_string(i % 12),
+                        i % 13 == 0 ? ""
+                                    : StringPrintf("%d.%02d", i * 3 % 97,
+                                                   i * 7 % 100)})
                       .ok());
     }
     auto fill = [](const char* table, int rows, auto row_of) {
@@ -557,7 +578,9 @@ class IndexFormTest : public ::testing::Test {
   }
 
   /// Runs `sql` on the reference path, then vectorized at parallelism 1
-  /// and 4, and expects the same bytes every time. Returns the row count.
+  /// and 4, and expects the same values every time, in the same order:
+  /// the same kind, doubles bit for bit (the CSV rounds them to four
+  /// decimals), everything else as rendered. Returns the row count.
   static size_t ExpectMatchesReference(const std::string& sql) {
     PlannerOptions options = db_->default_options();
     options.vectorized_execution = false;
@@ -571,10 +594,53 @@ class IndexFormTest : public ::testing::Test {
       Result<QueryResult> run = db_->Query(sql, options, nullptr);
       EXPECT_TRUE(run.ok()) << sql << ": " << run.status().ToString();
       if (!run.ok()) continue;
-      EXPECT_EQ(run->ToCsv(), reference->ToCsv())
+      EXPECT_EQ(FirstDifference(*run, *reference), "")
           << sql << " at parallelism " << workers;
     }
     return reference->rows.size();
+  }
+
+  /// Where `got` first differs from `want`, or "" when every value is the
+  /// same.
+  static std::string FirstDifference(const QueryResult& got,
+                                     const QueryResult& want) {
+    if (got.rows.size() != want.rows.size()) {
+      return StringPrintf("%zu rows, expected %zu", got.rows.size(),
+                          want.rows.size());
+    }
+    for (size_t r = 0; r < want.rows.size(); ++r) {
+      if (got.rows[r].size() != want.rows[r].size()) {
+        return StringPrintf("row %zu is %zu wide", r, got.rows[r].size());
+      }
+      for (size_t c = 0; c < want.rows[r].size(); ++c) {
+        const Value& a = got.rows[r][c];
+        const Value& b = want.rows[r][c];
+        bool same = a.kind() == b.kind() &&
+                    (a.kind() == Value::Kind::kDouble
+                         ? std::bit_cast<uint64_t>(a.AsDouble()) ==
+                               std::bit_cast<uint64_t>(b.AsDouble())
+                         : a.ToDisplayString() == b.ToDisplayString());
+        if (!same) {
+          return StringPrintf("row %zu col %zu: %.17g (%s), expected %.17g "
+                              "(%s)",
+                              r, c, a.AsDouble(),
+                              a.ToDisplayString().c_str(), b.AsDouble(),
+                              b.ToDisplayString().c_str());
+        }
+      }
+    }
+    return "";
+  }
+
+  /// The operators of `sql`'s plan, run with `vectorized` execution.
+  static std::vector<ExecStats::OpStat> OperatorsOf(const std::string& sql,
+                                                    bool vectorized) {
+    PlannerOptions options = db_->default_options();
+    options.vectorized_execution = vectorized;
+    ExecStats stats;
+    Result<QueryResult> run = db_->Query(sql, options, &stats);
+    EXPECT_TRUE(run.ok()) << sql << ": " << run.status().ToString();
+    return stats.operators;
   }
 
   static constexpr int kFactRows = 6000;  // five full morsels and a part
@@ -672,6 +738,122 @@ TEST_F(IndexFormTest, AggregateOverTheChain) {
                 "JOIN d1 ON f.k1 = d1.k1 JOIN d2 ON f.k2 = d2.k2 "
                 "JOIN d3 ON f.k3 = d3.k3 GROUP BY d3.c"),
             20u);
+}
+
+// Aggregates and projects read the index form themselves, a global
+// 1024-row morsel at a time, so their partials have the boundaries they
+// have over boxed rows: every double below must match bit for bit.
+
+TEST_F(IndexFormTest, AveragesOverChunksThatDoNotAlignWithMorsels) {
+  // The semi-join on d1 leaves about a fifth of each chunk (and four
+  // d3.c groups); d2's keys are on two rows each, so its join grows the
+  // chunks again.
+  EXPECT_EQ(ExpectMatchesReference(
+                "SELECT d3.c, AVG(f.m), STDDEV_SAMP(f.m), AVG(f.v / 3), "
+                "STDDEV_SAMP(f.v / 3), SUM(f.v / 3) FROM f, d1, d2, d3 "
+                "WHERE f.k1 = d1.k1 AND f.k2 = d2.k2 AND f.k3 = d3.k3 "
+                "AND d1.g = 1 GROUP BY d3.c"),
+            4u);
+  EXPECT_EQ(ExpectMatchesReference(
+                "SELECT AVG(f.v / 3), STDDEV_SAMP(f.v / 3), AVG(f.m), "
+                "STDDEV_SAMP(f.m), SUM(f.m) FROM f JOIN d2 ON f.k2 = d2.k2"),
+            1u);
+}
+
+TEST_F(IndexFormTest, CountDistinctAndRollupOverTheChain) {
+  EXPECT_EQ(ExpectMatchesReference(
+                "SELECT d1.g, COUNT(DISTINCT f.v), COUNT(DISTINCT d2.b), "
+                "AVG(DISTINCT f.v / 3) FROM f JOIN d1 ON f.k1 = d1.k1 "
+                "JOIN d2 ON f.k2 = d2.k2 GROUP BY d1.g"),
+            5u);
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT d1.g, d3.c, COUNT(*), SUM(f.m), AVG(f.v / 3) FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 JOIN d3 ON f.k3 = d3.k3 "
+                "GROUP BY ROLLUP(d1.g, d3.c)"),
+            20u);
+}
+
+TEST_F(IndexFormTest, StringGroupKeysFromTheScanAndABuildSide) {
+  // f.ks is a string column of the fact table (source 0), ds.s one of a
+  // build side.
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT ds.s, f.ks, COUNT(*), SUM(f.v), MIN(f.ks) FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 JOIN ds ON f.k3 = ds.sv "
+                "GROUP BY ds.s, f.ks"),
+            10u);
+}
+
+TEST_F(IndexFormTest, LeftJoinPadAsAGroupKey) {
+  // A quarter of f.k2 misses d2: their rows group under a NULL d2.b.
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT d2.b, COUNT(*), SUM(f.v), AVG(f.m) FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 LEFT JOIN d2 ON f.k2 = d2.k2 "
+                "GROUP BY d2.b"),
+            30u);
+}
+
+TEST_F(IndexFormTest, ExpressionArgumentsAndHaving) {
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT d1.g, SUM(f.v - d1.a), "
+                "SUM(CASE WHEN d2.b > 30 THEN f.v ELSE 0 END), "
+                "MAX(CASE WHEN f.v > 50 THEN d3.c END) FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 JOIN d2 ON f.k2 = d2.k2 "
+                "JOIN d3 ON f.k3 = d3.k3 GROUP BY d1.g "
+                "HAVING COUNT(*) > 100 AND SUM(f.v) > 0"),
+            0u);
+}
+
+TEST_F(IndexFormTest, ProjectWithAnExpressionAndNoAggregate) {
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, d1.a + d2.b, f.v / 3, "
+                "CASE WHEN f.m IS NULL THEN ds.s ELSE f.ks END FROM f "
+                "JOIN d1 ON f.k1 = d1.k1 JOIN d2 ON f.k2 = d2.k2 "
+                "LEFT JOIN ds ON f.k3 = ds.sv"),
+            static_cast<size_t>(kFactRows));
+}
+
+TEST_F(IndexFormTest, ScanOnlyAggregate) {
+  EXPECT_EQ(ExpectMatchesReference(
+                "SELECT f.k3, SUM(f.v), AVG(f.v / 3), STDDEV_SAMP(f.m), "
+                "COUNT(DISTINCT f.ks) FROM f GROUP BY f.k3"),
+            20u);
+  EXPECT_EQ(ExpectMatchesReference(
+                "SELECT COUNT(*), AVG(f.m), STDDEV_SAMP(f.v / 3) FROM f "
+                "WHERE f.v < 50"),
+            1u);
+}
+
+TEST_F(IndexFormTest, ExplainTagsTheConsumersThatReadTheIndexForm) {
+  auto tagged = [](const std::vector<ExecStats::OpStat>& ops,
+                   const std::string& label) {
+    for (const ExecStats::OpStat& op : ops) {
+      if (op.label.rfind(label, 0) == 0) return op.vectorized;
+    }
+    ADD_FAILURE() << "no " << label << " operator";
+    return false;
+  };
+  const std::string chain =
+      "SELECT d3.c, COUNT(*) FROM f JOIN d1 ON f.k1 = d1.k1 "
+      "JOIN d3 ON f.k3 = d3.k3 GROUP BY d3.c";
+  EXPECT_TRUE(tagged(OperatorsOf(chain, true), "aggregate"));
+  EXPECT_TRUE(tagged(OperatorsOf("SELECT f.id, d1.a + 1 FROM f "
+                                 "JOIN d1 ON f.k1 = d1.k1",
+                                 true),
+                     "project"));
+  // A cross-scope OR stays a residual filter between the join and the
+  // aggregate, which then reads boxed rows.
+  std::vector<ExecStats::OpStat> filtered = OperatorsOf(
+      "SELECT COUNT(*) FROM f JOIN d1 ON f.k1 = d1.k1 "
+      "WHERE f.v < 10 OR d1.a > 100",
+      true);
+  ASSERT_TRUE(std::any_of(filtered.begin(), filtered.end(),
+                          [](const ExecStats::OpStat& op) {
+                            return op.label.rfind("filter", 0) == 0;
+                          }));
+  EXPECT_FALSE(tagged(filtered, "aggregate"));
+  for (const ExecStats::OpStat& op : OperatorsOf(chain, false)) {
+    EXPECT_FALSE(op.vectorized) << op.label;
+  }
 }
 
 TEST_F(IndexFormTest, RowBudgetTripsInsideTheChain) {

@@ -113,6 +113,83 @@ TEST_F(ExecTest, CountDistinctAndHaving) {
   EXPECT_EQ(r.rows[1][1].AsInt(), 2);  // 150.50, 80
 }
 
+TEST_F(ExecTest, EveryAggregateOverIntDecimalAndDoubleArguments) {
+  // i: 4, NULL, 4, 7, 10, NULL; m: 1.50, 2.25, NULL, 2.25, 0.75, NULL.
+  ASSERT_TRUE(db_->CreateTable("acc", {{"i", ColumnType::kInteger},
+                                       {"m", ColumnType::kDecimal}})
+                  .ok());
+  Load("acc", {{"4", "1.50"},
+               {"", "2.25"},
+               {"4", ""},
+               {"7", "2.25"},
+               {"10", "0.75"},
+               {"", ""}});
+  auto dec = [](int64_t cents) {
+    return Value::Dec(Decimal::FromCents(cents));
+  };
+  // Per argument: SUM, AVG, MIN, MAX, COUNT and STDDEV_SAMP, then the
+  // same six over DISTINCT values.
+  const std::vector<std::pair<std::string, std::vector<Value>>> cases = {
+      {"i",
+       {Value::Int(25), Value::Dbl(6.25), Value::Int(4), Value::Int(10),
+        Value::Int(4), Value::Dbl(2.8722813232690143),  // sqrt(24.75 / 3)
+        Value::Int(21), Value::Dbl(7.0), Value::Int(4), Value::Int(10),
+        Value::Int(3), Value::Dbl(3.0)}},
+      {"m",
+       {dec(675), Value::Dbl(1.6875), dec(75), dec(225), Value::Int(4),
+        Value::Dbl(0.71807033081725358),  // sqrt(1.546875 / 3)
+        dec(450), Value::Dbl(1.5), dec(75), dec(225), Value::Int(3),
+        Value::Dbl(0.75)}},
+      {"i / 3",
+       {Value::Dbl(8.3333333333333333), Value::Dbl(2.0833333333333333),
+        Value::Dbl(1.3333333333333333), Value::Dbl(3.3333333333333333),
+        Value::Int(4), Value::Dbl(0.95742710775633810),
+        Value::Dbl(7.0), Value::Dbl(2.3333333333333333),
+        Value::Dbl(1.3333333333333333), Value::Dbl(3.3333333333333333),
+        Value::Int(3), Value::Dbl(1.0)}}};
+  for (const auto& [arg, expected] : cases) {
+    std::string sql = "SELECT ";
+    for (const char* distinct : {"", "DISTINCT "}) {
+      for (const char* fn :
+           {"SUM", "AVG", "MIN", "MAX", "COUNT", "STDDEV_SAMP"}) {
+        if (sql.size() > 7) sql += ", ";
+        sql += std::string(fn) + "(" + distinct + arg + ")";
+      }
+    }
+    QueryResult r = Run(sql + " FROM acc");
+    ASSERT_EQ(r.rows.size(), 1u) << sql;
+    ASSERT_EQ(r.rows[0].size(), expected.size()) << sql;
+    for (size_t c = 0; c < expected.size(); ++c) {
+      const Value& got = r.rows[0][c];
+      EXPECT_EQ(got.kind(), expected[c].kind()) << sql << " column " << c;
+      if (expected[c].kind() == Value::Kind::kDouble) {
+        EXPECT_NEAR(got.AsDouble(), expected[c].AsDouble(), 1e-12)
+            << sql << " column " << c;
+      } else {
+        EXPECT_EQ(got.ToDisplayString(), expected[c].ToDisplayString())
+            << sql << " column " << c;
+      }
+    }
+  }
+  // No non-NULL argument: COUNT is 0 and the rest NULL; STDDEV_SAMP of
+  // one value is NULL.
+  QueryResult none = Run(
+      "SELECT COUNT(i), SUM(i), AVG(m), MIN(i), MAX(m), STDDEV_SAMP(i / 3), "
+      "COUNT(DISTINCT m), SUM(DISTINCT i) FROM acc WHERE i IS NULL AND "
+      "m IS NULL");
+  ASSERT_EQ(none.rows.size(), 1u);
+  EXPECT_EQ(none.rows[0][0].AsInt(), 0);
+  EXPECT_EQ(none.rows[0][6].AsInt(), 0);
+  for (size_t c : {1, 2, 3, 4, 5, 7}) {
+    EXPECT_TRUE(none.rows[0][c].is_null()) << "column " << c;
+  }
+  QueryResult one = Run("SELECT STDDEV_SAMP(i), STDDEV_SAMP(DISTINCT m) "
+                        "FROM acc WHERE i = 7");
+  ASSERT_EQ(one.rows.size(), 1u);
+  EXPECT_TRUE(one.rows[0][0].is_null());
+  EXPECT_TRUE(one.rows[0][1].is_null());
+}
+
 TEST_F(ExecTest, WindowPartitionSumAndRank) {
   QueryResult r = Run(
       "SELECT e_name, e_salary, "
