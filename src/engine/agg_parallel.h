@@ -11,21 +11,20 @@
 
 namespace tpcds {
 
-/// Partitioned-hash building blocks shared by the parallel aggregation,
-/// DISTINCT / set-operation, sort and Top-K paths in the executor. All of
-/// them follow the same determinism rule as the rest of the morsel
-/// executor: partition assignment is a pure function of the input (a value
-/// hash, never a thread id), and per-partition results are recombined in
-/// first-seen input order, so results are byte-identical at any
-/// parallelism level.
+/// Partitioned-hash building blocks shared by the DISTINCT / set-operation,
+/// join, sort and Top-K paths in the executor. All of them follow the same
+/// determinism rule as the rest of the morsel executor: partition
+/// assignment is a pure function of the input (a value hash, never a
+/// thread id), and per-partition results are recombined in first-seen
+/// input order, so results are byte-identical at any parallelism level.
 
-/// Number of hash partitions for parallel aggregate / distinct / set-op
-/// builds. A constant (like the executor's join partitions): partition
-/// contents must not depend on the worker count.
+/// Number of hash partitions for parallel distinct / set-op builds. A
+/// constant (like the executor's join partitions): partition contents must
+/// not depend on the worker count.
 inline constexpr size_t kHashPartitions = 16;
 
 /// Borrowed view of a composite key: a prefix of a materialised row, or a
-/// per-row scratch buffer. Lets the group hash tables probe a candidate
+/// per-row scratch buffer. Lets the key hash tables probe a candidate
 /// key without materialising it — the key values are copied only when a
 /// new group is inserted (transparent lookup, in the style of the
 /// string_view lookups on EngineTable::StringIndex).
@@ -56,7 +55,7 @@ struct GroupKeyHash {
   static size_t Hash(const Value* values, size_t n);
 };
 
-/// SQL GROUP BY / DISTINCT key equality: NULLs compare equal to each
+/// SQL DISTINCT key equality: NULLs compare equal to each
 /// other (unlike predicate evaluation). Transparent, matching GroupKeyHash.
 struct GroupKeyEq {
   using is_transparent = void;

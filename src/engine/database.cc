@@ -98,17 +98,20 @@ std::string QueryResult::ToCsv() const {
 Status Database::CreateTpcdsTables() {
   const Schema& schema = TpcdsSchema();
   for (const TableDef& def : schema.tables()) {
-    TPCDS_RETURN_NOT_OK(CreateTable(def.name, MetasFor(def)));
+    TPCDS_RETURN_NOT_OK(
+        CreateTable(def.name, MetasFor(def), def.table_class));
   }
   return Status::OK();
 }
 
 Status Database::CreateTable(const std::string& name,
-                             std::vector<EngineTable::ColumnMeta> columns) {
+                             std::vector<EngineTable::ColumnMeta> columns,
+                             std::optional<TableClass> table_class) {
   if (tables_.count(name) != 0) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  tables_[name] = std::make_shared<EngineTable>(name, std::move(columns));
+  tables_[name] =
+      std::make_shared<EngineTable>(name, std::move(columns), table_class);
   return Status::OK();
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,9 +44,12 @@ class Database {
   /// Creates empty tables for the full 24-table TPC-DS schema.
   Status CreateTpcdsTables();
 
-  /// Creates one custom table (tests use this for mini-schemas).
+  /// Creates one custom table (tests use this for mini-schemas). Without
+  /// a `table_class`, star plans take such a table as a fact only when it
+  /// comes first in FROM.
   Status CreateTable(const std::string& name,
-                     std::vector<EngineTable::ColumnMeta> columns);
+                     std::vector<EngineTable::ColumnMeta> columns,
+                     std::optional<TableClass> table_class = std::nullopt);
 
   /// Generates and loads every TPC-DS table at options.scale_factor.
   /// Sales and returns of each channel are produced in one generator pass.

@@ -16,6 +16,7 @@
 #include "engine/data_facade.h"
 #include "engine/expr_eval.h"
 #include "engine/governor.h"
+#include "engine/group_table.h"
 #include "engine/key_table.h"
 #include "engine/table.h"
 #include "util/fault.h"
@@ -37,7 +38,7 @@ double NowSeconds() {
 
 // ------------------------------------------------------------ value keys
 
-/// Composite keys (join keys, group keys, whole-row distinct keys) hash
+/// Composite keys (join keys, whole-row distinct keys) hash
 /// and compare through the transparent GroupKeyHash/GroupKeyEq from
 /// agg_parallel.h: lookups accept a GroupKeyView over a scratch buffer or
 /// a row prefix, so the per-row path materialises no key vectors.
@@ -246,18 +247,20 @@ class IndexReader {
   size_t size() const { return offset_.back(); }
   size_t width() const { return width_; }
 
+  /// Points out[0], ..., out[e - b - 1] at the index tuples of rows [b, e).
+  void Tuples(size_t b, size_t e, const uint32_t** out) const {
+    ForEachSpan(b, e, [&](const uint32_t* tuples, size_t n, size_t at) {
+      for (size_t i = 0; i < n; ++i) out[at + i] = tuples + i * in_.sources();
+    });
+  }
+
   /// Writes the read slots of rows [b, e) into out[0], ..., out[e - b - 1],
   /// each at least width() values wide.
   void Read(size_t b, size_t e, std::vector<Value>* out) const {
+    if (cols_.empty()) return;
     size_t k = in_.sources();
-    size_t c = static_cast<size_t>(
-        std::upper_bound(offset_.begin(), offset_.end(), b) -
-        offset_.begin() - 1);
-    for (size_t row = b; row < e; ++c) {
-      size_t n = std::min(e, offset_[c + 1]) - row;
-      if (n == 0) continue;  // an empty chunk
-      const uint32_t* tuples = &in_.chunks[c][(row - offset_[c]) * k];
-      std::vector<Value>* rows = out + (row - b);
+    ForEachSpan(b, e, [&](const uint32_t* tuples, size_t n, size_t at) {
+      std::vector<Value>* rows = out + at;
       for (const Col& col : cols_) {
         if (col.storage != nullptr) {
           GatherColumn(*col.storage, tuples, n, k, col.slot, rows);
@@ -274,11 +277,26 @@ class IndexReader {
           }
         }
       }
+    });
+  }
+
+ private:
+  /// Calls fn(tuples, n, at) for each chunk's part of rows [b, e): n index
+  /// tuples from `tuples` on, rows at - b on of the range.
+  template <typename Fn>
+  void ForEachSpan(size_t b, size_t e, const Fn& fn) const {
+    size_t k = in_.sources();
+    size_t c = static_cast<size_t>(
+        std::upper_bound(offset_.begin(), offset_.end(), b) -
+        offset_.begin() - 1);
+    for (size_t row = b; row < e; ++c) {
+      size_t n = std::min(e, offset_[c + 1]) - row;
+      if (n == 0) continue;  // an empty chunk
+      fn(&in_.chunks[c][(row - offset_[c]) * k], n, row - b);
       row += n;
     }
   }
 
- private:
   struct Col {
     size_t source;  // index within the tuple
     size_t slot;    // slot in the boxed row
@@ -290,190 +308,6 @@ class IndexReader {
   std::vector<size_t> offset_;  // offset_[c]: rows before chunk c
   std::vector<Col> cols_;
   size_t width_ = 0;
-};
-
-// ------------------------------------------------------------ aggregates
-
-/// True when `values` holds both a DATE and a string: then Value::Compare
-/// equates some of them although they hash apart (see DateKey).
-bool HoldsDatesAndStrings(const ValueSet& values) {
-  bool dates = false;
-  bool strings = false;
-  for (const Value& v : values) {
-    dates |= v.kind() == Value::Kind::kDate;
-    strings |= v.kind() == Value::Kind::kString;
-  }
-  return dates && strings;
-}
-
-class Accumulator {
- public:
-  explicit Accumulator(const PlanAggSpec* spec)
-      : spec_(spec), fn_(FunctionOf(spec->function)) {}
-
-  void Add(const Value& v) {
-    if (spec_->star) {
-      ++count_;
-      return;
-    }
-    if (v.is_null()) return;
-    if (spec_->distinct) {
-      distinct_.insert(v);
-      return;
-    }
-    Accept(v);
-  }
-
-  /// Folds a partial accumulator (one morsel's worth) into this one.
-  /// Callers merge strictly in morsel order so the result is reproducible.
-  void Merge(const Accumulator& o) {
-    count_ += o.count_;
-    sum_int_ += o.sum_int_;
-    sum_cents_ += o.sum_cents_;
-    sum_double_ += o.sum_double_;
-    sum_squares_ += o.sum_squares_;
-    saw_decimal_ |= o.saw_decimal_;
-    saw_double_ |= o.saw_double_;
-    if (!o.min_.is_null() &&
-        (min_.is_null() || Value::Compare(o.min_, min_) < 0)) {
-      min_ = o.min_;
-    }
-    if (!o.max_.is_null() &&
-        (max_.is_null() || Value::Compare(o.max_, max_) > 0)) {
-      max_ = o.max_;
-    }
-    for (const Value& v : o.distinct_) distinct_.insert(v);
-  }
-
-  /// A distinct set that holds dates and strings counts a string naming a
-  /// date as that date, as GROUP BY keys it.
-  Value Finalize() const {
-    if (spec_->distinct && !spec_->star) {
-      const ValueSet* values = &distinct_;
-      ValueSet keyed;
-      if (HoldsDatesAndStrings(distinct_)) {
-        for (const Value& v : distinct_) {
-          Value d = DateKey(v);
-          keyed.insert(d.is_null() ? v : std::move(d));
-        }
-        values = &keyed;
-      }
-      Accumulator plain(&plain_spec());
-      for (const Value& v : *values) plain.Accept(v);
-      plain.count_ = static_cast<int64_t>(values->size());
-      return plain.FinalizePlain(fn_);
-    }
-    return FinalizePlain(fn_);
-  }
-
- private:
-  /// The aggregate function, mapped once from its name. kAll, for the
-  /// plain accumulator a DISTINCT aggregate finalises through, keeps
-  /// every field.
-  enum class Fn : uint8_t { kCount, kSum, kAvg, kMin, kMax, kStddev, kAll };
-
-  static Fn FunctionOf(const std::string& function) {
-    if (function == "COUNT") return Fn::kCount;
-    if (function == "SUM") return Fn::kSum;
-    if (function == "AVG") return Fn::kAvg;
-    if (function == "MIN") return Fn::kMin;
-    if (function == "MAX") return Fn::kMax;
-    if (function == "STDDEV_SAMP") return Fn::kStddev;
-    return Fn::kAll;
-  }
-
-  static const PlanAggSpec& plain_spec() {
-    static const PlanAggSpec& s = *new PlanAggSpec{};
-    return s;
-  }
-
-  /// Updates the fields FinalizePlain reads for this function.
-  void Accept(const Value& v) {
-    ++count_;
-    switch (fn_) {
-      case Fn::kCount:
-        return;
-      case Fn::kAvg:
-        sum_double_ += v.AsDouble();
-        return;
-      case Fn::kStddev: {
-        double d = v.AsDouble();
-        sum_double_ += d;
-        sum_squares_ += d * d;
-        return;
-      }
-      case Fn::kMin:
-        if (min_.is_null() || Value::Compare(v, min_) < 0) min_ = v;
-        return;
-      case Fn::kMax:
-        if (max_.is_null() || Value::Compare(v, max_) > 0) max_ = v;
-        return;
-      case Fn::kSum:
-        AcceptSum(v);
-        return;
-      case Fn::kAll: {
-        AcceptSum(v);
-        double d = v.AsDouble();
-        sum_squares_ += d * d;
-        if (min_.is_null() || Value::Compare(v, min_) < 0) min_ = v;
-        if (max_.is_null() || Value::Compare(v, max_) > 0) max_ = v;
-        return;
-      }
-    }
-  }
-
-  void AcceptSum(const Value& v) {
-    sum_double_ += v.AsDouble();
-    if (v.kind() == Value::Kind::kDecimal) {
-      sum_cents_ += v.AsDecimal().cents();
-      saw_decimal_ = true;
-    } else if (v.kind() == Value::Kind::kInt) {
-      sum_int_ += v.AsInt();
-    } else {
-      saw_double_ = true;
-    }
-  }
-
-  Value FinalizePlain(Fn fn) const {
-    if (fn == Fn::kCount) return Value::Int(count_);
-    if (count_ == 0) return Value::Null();
-    switch (fn) {
-      case Fn::kSum:
-        if (saw_double_) return Value::Dbl(sum_double_);
-        if (saw_decimal_) {
-          return Value::Dec(
-              Decimal::FromCents(sum_cents_ + sum_int_ * Decimal::kScale));
-        }
-        return Value::Int(sum_int_);
-      case Fn::kAvg:
-        return Value::Dbl(sum_double_ / static_cast<double>(count_));
-      case Fn::kMin:
-        return min_;
-      case Fn::kMax:
-        return max_;
-      case Fn::kStddev: {
-        if (count_ < 2) return Value::Null();
-        double n = static_cast<double>(count_);
-        double var = (sum_squares_ - sum_double_ * sum_double_ / n) / (n - 1);
-        return Value::Dbl(var < 0 ? 0.0 : std::sqrt(var));
-      }
-      default:
-        return Value::Null();
-    }
-  }
-
-  const PlanAggSpec* spec_;
-  int64_t count_ = 0;
-  int64_t sum_int_ = 0;
-  int64_t sum_cents_ = 0;
-  double sum_double_ = 0.0;
-  double sum_squares_ = 0.0;
-  bool saw_decimal_ = false;
-  bool saw_double_ = false;
-  Fn fn_;
-  Value min_;
-  Value max_;
-  ValueSet distinct_;
 };
 
 /// Direct slot passthrough (ORDER BY ordinals, star expansion).
@@ -1245,14 +1079,6 @@ class PlanExecutor : public SubqueryEvaluator {
       if (slot >= 0) return row[static_cast<size_t>(slot)];
       *scratch = expr->Eval(row);
       return *scratch;
-    }
-    /// Assigns the key to *out, reusing its buffer for a bare column.
-    void ReadInto(const std::vector<Value>& row, Value* out) const {
-      if (slot >= 0) {
-        *out = row[static_cast<size_t>(slot)];
-      } else {
-        *out = expr->Eval(row);
-      }
     }
   };
 
@@ -2191,10 +2017,21 @@ class PlanExecutor : public SubqueryEvaluator {
     return read;
   }
 
-  /// Runs fn(m, rows, n) for each kBatchRows morsel m of the input, where
-  /// rows[0], ..., rows[n - 1] are its rows. Boxed rows are passed as
-  /// they are. The index form is read, only in the slots marked in
-  /// `read` (every slot when it is empty), into the running worker's
+  /// One kBatchRows morsel of an aggregate's or a project's input, as
+  /// ForEachInputMorsel hands it over: its rows, boxed or read into the
+  /// running worker's scratch batch, and for the index form each row's
+  /// index tuple.
+  struct MorselRows {
+    size_t morsel;
+    size_t worker;  // the thread running it (see ParallelForWorkers)
+    size_t n;
+    const std::vector<Value>* rows;
+    const uint32_t* const* tuples;  // the index form only
+  };
+
+  /// Runs fn(in) for each kBatchRows morsel of the input. Boxed rows are
+  /// passed as they are. The index form is read, only in the slots marked
+  /// in `read` (every slot when it is empty), into the running worker's
   /// scratch batch, which holds at most kBatchRows rows and is
   /// overwritten in place by every morsel.
   template <typename Fn>
@@ -2202,8 +2039,12 @@ class PlanExecutor : public SubqueryEvaluator {
                           const Fn& fn) {
     if (!in.indexed) {
       const RowList& rows = in.boxed->rows;
-      ForEachMorsel(rows.size(), [&](size_t b, size_t e, size_t m) {
-        fn(m, &rows[b], e - b);
+      ParallelForWorkers(MorselCount(rows.size()), [&](size_t m,
+                                                       size_t worker) {
+        if (track_ && !governor_->BeginMorsel()) return;
+        size_t b = m * kBatchRows;
+        size_t e = std::min(rows.size(), b + kBatchRows);
+        fn(MorselRows{m, worker, e - b, &rows[b], nullptr});
       });
       return;
     }
@@ -2212,20 +2053,21 @@ class PlanExecutor : public SubqueryEvaluator {
     size_t rows = std::min(n, kBatchRows);
     if (batches_.size() < Workers()) batches_.resize(Workers());
     std::vector<uint8_t> shaped(batches_.size(), 0);
-    QueryGovernor* gov = governor_;
-    bool checked = track_;
+    std::vector<std::vector<const uint32_t*>> tuples(batches_.size());
     ParallelForWorkers(MorselCount(n), [&](size_t m, size_t worker) {
-      if (checked && !gov->BeginMorsel()) return;
+      if (track_ && !governor_->BeginMorsel()) return;
       RowList& batch = batches_[worker];
       if (shaped[worker] == 0) {
         if (batch.size() < rows) batch.resize(rows);
         for (size_t i = 0; i < rows; ++i) batch[i].resize(reader.width());
+        tuples[worker].resize(rows);
         shaped[worker] = 1;
       }
       size_t b = m * kBatchRows;
       size_t e = std::min(n, b + kBatchRows);
       reader.Read(b, e, batch.data());
-      fn(m, batch.data(), e - b);
+      reader.Tuples(b, e, tuples[worker].data());
+      fn(MorselRows{m, worker, e - b, batch.data(), tuples[worker].data()});
     });
   }
 
@@ -2233,6 +2075,7 @@ class PlanExecutor : public SubqueryEvaluator {
     TPCDS_ASSIGN_OR_RETURN(RowInput input, ExecInput(node));
     std::vector<std::unique_ptr<BoundExpr>> projections;
     projections.reserve(node.projections.size());
+    std::vector<const Expr*> exprs;
     for (const PlanProjection& p : node.projections) {
       if (p.expr == nullptr) {
         projections.push_back(std::make_unique<SlotExpr>(p.slot));
@@ -2240,26 +2083,40 @@ class PlanExecutor : public SubqueryEvaluator {
         TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> b,
                                BindExpr(*p.expr, input.scope, this));
         projections.push_back(std::move(b));
+        exprs.push_back(p.expr);
+      }
+    }
+    // The input's columns pass through, hidden, only for an ORDER BY
+    // above (the planner appends them then); otherwise only the slots the
+    // projections reference are read.
+    bool pass_through = node.schema.size() > node.projections.size();
+    std::vector<bool> read;
+    if (!pass_through) {
+      read = SlotsRead(exprs, input.scope);
+      for (const PlanProjection& p : node.projections) {
+        if (p.expr == nullptr && !read.empty()) {
+          read[static_cast<size_t>(p.slot)] = true;
+        }
       }
     }
     auto out = std::make_shared<RowSet>();
     out->cols = node.schema;
     out->num_visible = node.num_visible;
     out->rows.resize(input.size());  // 1:1 mapping: write outputs in place
-    // Every slot is read: an output row passes its input row through.
-    ForEachInputMorsel(input, {}, [&](size_t m, const std::vector<Value>* rows,
-                                      size_t n) {
+    ForEachInputMorsel(input, read, [&](const MorselRows& in) {
       int64_t bytes = 0;
-      for (size_t r = 0; r < n; ++r) {
-        const std::vector<Value>& row = rows[r];
+      for (size_t r = 0; r < in.n; ++r) {
+        const std::vector<Value>& row = in.rows[r];
         std::vector<Value> projected;
         projected.reserve(out->cols.size());
         for (const auto& p : projections) projected.push_back(p->Eval(row));
-        for (const Value& v : row) projected.push_back(v);
+        if (pass_through) {
+          for (const Value& v : row) projected.push_back(v);
+        }
         if (track_) bytes += ApproxRowBytes(projected);
-        out->rows[m * kBatchRows + r] = std::move(projected);
+        out->rows[in.morsel * kBatchRows + r] = std::move(projected);
       }
-      if (track_ && governor_->ChargeRows(static_cast<int64_t>(n))) {
+      if (track_ && governor_->ChargeRows(static_cast<int64_t>(in.n))) {
         governor_->Reserve(bytes);
       }
     });
@@ -2534,291 +2391,250 @@ class PlanExecutor : public SubqueryEvaluator {
 
   // ---- aggregation ----------------------------------------------------
 
-  /// One aggregate hash table: group keys in first-seen order, their
-  /// accumulators, and a view-keyed index into `keys`. The views stay
-  /// valid as `keys` grows because moving a std::vector<Value> preserves
-  /// its heap buffer — the same trick EngineTable::StringIndex plays with
-  /// string_views, applied to composite keys. Probes go through a view
-  /// over a scratch buffer or a row prefix, so the per-row path never
-  /// materialises a key vector for an existing group.
-  struct AggTable {
-    std::vector<std::vector<Value>> keys;
-    std::vector<std::vector<Accumulator>> accs;
-    std::unordered_map<GroupKeyView, uint32_t, GroupKeyHash, GroupKeyEq>
-        index;
+  /// How an aggregate reads one group key or argument per row: straight
+  /// from the index form's source (a storage word or view for source 0,
+  /// the build row otherwise) or from a boxed row's slot, whose holders
+  /// outlive the aggregate, or by evaluating an expression over the
+  /// morsel's rows, whose values last until the worker's next morsel.
+  struct CellReader {
+    std::optional<IndexedCol> col;  // a bare column of the index form
+    int slot = -1;                  // a bare column of a boxed row
+    std::unique_ptr<BoundExpr> expr;
 
-    void Reserve(size_t n) {
-      keys.reserve(n);
-      accs.reserve(n);
-      index.reserve(n);
-    }
-    size_t size() const { return keys.size(); }
+    bool stable() const { return expr == nullptr; }
 
-    /// Adopts `key` (moved) and `group_accs` as a new group; returns its
-    /// ordinal.
-    uint32_t Insert(std::vector<Value>&& key,
-                    std::vector<Accumulator>&& group_accs) {
-      uint32_t g = static_cast<uint32_t>(keys.size());
-      keys.push_back(std::move(key));
-      accs.push_back(std::move(group_accs));
-      index.emplace(GroupKeyView::Of(keys[g]), g);
-      return g;
+    /// Calls emit(i, cell) for the rows i of the morsel, in order; an
+    /// expression's values are kept in *temps meanwhile.
+    template <typename Emit>
+    void Read(const MorselRows& in, std::vector<Value>* temps,
+              const Emit& emit) const {
+      if (expr != nullptr) {
+        if (temps->size() < in.n) temps->resize(in.n);
+        for (size_t i = 0; i < in.n; ++i) {
+          (*temps)[i] = expr->Eval(in.rows[i]);
+          emit(i, Cell::Of((*temps)[i]));
+        }
+      } else if (slot >= 0) {
+        for (size_t i = 0; i < in.n; ++i) {
+          emit(i, Cell::Of(in.rows[i][static_cast<size_t>(slot)]));
+        }
+      } else if (col->storage != nullptr) {
+        const StorageColumn& c = *col->storage;
+        Value::Kind kind = StorageKind(c.type());
+        for (size_t i = 0; i < in.n; ++i) {
+          uint32_t r = in.tuples[i][0];
+          if (c.IsNull(r)) {
+            emit(i, Cell{});
+          } else if (kind == Value::Kind::kString) {
+            emit(i, Cell{kind, 0, c.Str(r)});
+          } else {
+            emit(i, Cell::Word(kind, c.Num(r)));
+          }
+        }
+      } else {
+        const RowList& build = col->build->rows;
+        for (size_t i = 0; i < in.n; ++i) {
+          uint32_t r = in.tuples[i][col->source];
+          emit(i, r == KeyTable::kNone ? Cell{}
+                                       : Cell::Of(build[r][col->slot]));
+        }
+      }
     }
   };
 
-  std::vector<Accumulator> FreshAccumulators(const PlanNode& node) {
-    std::vector<Accumulator> accs;
-    accs.reserve(node.aggs.size());
-    for (const PlanAggSpec& spec : node.aggs) accs.emplace_back(&spec);
-    return accs;
+  Result<CellReader> BindCell(const Expr& e, const RowInput& in) {
+    CellReader reader;
+    if (e.tag != Expr::Tag::kColumnRef) {
+      TPCDS_ASSIGN_OR_RETURN(reader.expr, BindExpr(e, in.scope, this));
+    } else if (in.indexed) {
+      TPCDS_ASSIGN_OR_RETURN(reader.col, ResolveIndexed(*in.indexed, e));
+    } else {
+      TPCDS_ASSIGN_OR_RETURN(reader.slot,
+                             in.scope.Resolve(e.qualifier, e.name));
+    }
+    return reader;
   }
 
-  /// Phase 2 of partitioned aggregation: every group key hashes into one
-  /// of kHashPartitions partitions (a pure function of the key), and each
-  /// partition merges its groups from all partials *in partial order* —
-  /// the same per-group Merge sequence the serial morsel-order merge
-  /// performs, so no result depends on how partitions interleave. Each
-  /// surviving group is tagged with its first-seen token (partial index,
-  /// insertion index); concatenating partitions by ascending token
-  /// reproduces the global first-seen order exactly. Consumes `partials`.
-  AggTable MergePartials(std::vector<AggTable>* partials, size_t naggs) {
-    size_t np = partials->size();
-    if (np == 1) return std::move((*partials)[0]);
-    std::vector<size_t> offset(np + 1, 0);
-    for (size_t i = 0; i < np; ++i) {
-      offset[i + 1] = offset[i] + (*partials)[i].size();
+  /// Charges `groups` new groups of `bytes` each against the row and
+  /// memory budgets.
+  void ChargeGroups(int64_t groups, size_t bytes) {
+    if (track_ && groups > 0 && governor_->ChargeRows(groups)) {
+      governor_->Reserve(groups * static_cast<int64_t>(bytes));
     }
-    // Partition assignment, one hash per group, computed in parallel.
-    std::vector<std::vector<uint8_t>> parts(np);
-    QueryGovernor* gov = governor_;
-    bool checked = track_;
-    ParallelFor(np, [&](size_t i) {
-      if (checked && !gov->Tick()) return;
-      const AggTable& pt = (*partials)[i];
-      parts[i].resize(pt.size());
-      for (size_t j = 0; j < pt.size(); ++j) {
-        parts[i][j] =
-            static_cast<uint8_t>(GroupKeyHash()(pt.keys[j]) %
-                                 kHashPartitions);
-      }
-    });
-    std::vector<AggTable> merged(kHashPartitions);
-    std::vector<std::vector<uint32_t>> tokens(kHashPartitions);
-    ParallelFor(kHashPartitions, [&](size_t p) {
-      if (checked && !gov->BeginMorsel()) return;
-      AggTable& out = merged[p];
-      out.Reserve(offset[np] / kHashPartitions + 1);
-      for (size_t i = 0; i < np; ++i) {
-        AggTable& pt = (*partials)[i];
-        for (size_t j = 0; j < pt.size(); ++j) {
-          if (parts[i][j] != p) continue;
-          auto it = out.index.find(GroupKeyView::Of(pt.keys[j]));
-          if (it == out.index.end()) {
-            out.Insert(std::move(pt.keys[j]), std::move(pt.accs[j]));
-            tokens[p].push_back(static_cast<uint32_t>(offset[i] + j));
-          } else {
-            for (size_t a = 0; a < naggs; ++a) {
-              out.accs[it->second][a].Merge(pt.accs[j][a]);
-            }
-          }
-        }
-      }
-    });
-    // Concatenate partitions in ascending-token (= global first-seen)
-    // order. The per-partition token lists are ascending, so this is a
-    // P-way merge with linear cursor scans (P is small).
-    AggTable result;
-    size_t total = 0;
-    for (const AggTable& t : merged) total += t.size();
-    result.keys.reserve(total);
-    result.accs.reserve(total);
-    std::vector<size_t> cur(kHashPartitions, 0);
-    for (size_t taken = 0; taken < total; ++taken) {
-      size_t best = kHashPartitions;
-      uint32_t best_tok = 0;
-      for (size_t p = 0; p < kHashPartitions; ++p) {
-        if (cur[p] >= tokens[p].size()) continue;
-        uint32_t tok = tokens[p][cur[p]];
-        if (best == kHashPartitions || tok < best_tok) {
-          best = p;
-          best_tok = tok;
-        }
-      }
-      result.keys.push_back(std::move(merged[best].keys[cur[best]]));
-      result.accs.push_back(std::move(merged[best].accs[cur[best]]));
-      ++cur[best];
-    }
-    return result;
   }
 
-  /// One ROLLUP subtotal level, computed from the leaf-level table
-  /// instead of rescanning the input: leaf groups sharing the first
-  /// `depth` key values merge (in leaf first-seen order) into one
-  /// depth-`depth` group whose trailing key slots are NULL. The first
-  /// leaf with a given prefix is also the first input row with it, so
-  /// subtotal groups appear in the same order a row rescan would emit.
-  AggTable RollupDepth(const PlanNode& node, const AggTable& leaf,
-                       size_t depth, size_t nkeys) {
-    size_t n = leaf.size();
-    size_t morsels = MorselCount(n);
-    std::vector<AggTable> partials(morsels);
-    ForEachMorsel(n, [&](size_t b, size_t e, size_t m) {
-      AggTable& pt = partials[m];
-      pt.Reserve(e - b);
-      std::vector<Value> scratch(nkeys);
-      int64_t group_bytes = 0;
-      int64_t new_groups = 0;
-      for (size_t r = b; r < e; ++r) {
-        for (size_t k = 0; k < depth; ++k) scratch[k] = leaf.keys[r][k];
-        auto it = pt.index.find(GroupKeyView::Of(scratch));
-        uint32_t g;
-        if (it == pt.index.end()) {
-          if (track_) {
-            group_bytes +=
-                ApproxRowBytes(scratch) +
-                static_cast<int64_t>(node.aggs.size() * sizeof(Accumulator));
-            ++new_groups;
-          }
-          g = pt.Insert(std::move(scratch), FreshAccumulators(node));
-          scratch.assign(nkeys, Value());
-        } else {
-          g = it->second;
-        }
-        for (size_t a = 0; a < node.aggs.size(); ++a) {
-          pt.accs[g][a].Merge(leaf.accs[r][a]);
-        }
-      }
-      // Same charging rule as the leaf build: every new group costs its
-      // key plus one accumulator per aggregate.
-      if (track_ && governor_->ChargeRows(new_groups)) {
-        governor_->Reserve(group_bytes);
-      }
-    });
-    return MergePartials(&partials, node.aggs.size());
-  }
+  /// A worker's scratch space for one morsel of an aggregate.
+  struct AggScratch {
+    std::vector<KeyCell> keys;  // row-major, nkeys per row
+    std::vector<uint32_t> groups;
+    std::vector<std::vector<Value>> temps;  // per key, then the arguments
+  };
 
   Result<std::shared_ptr<RowSet>> ExecAggregate(const PlanNode& node) {
     TPCDS_ASSIGN_OR_RETURN(RowInput input, ExecInput(node));
-    std::vector<const Expr*> read_exprs = node.group_by;
-    std::vector<KeyReader> keys;
-    for (const Expr* e : node.group_by) {
-      TPCDS_ASSIGN_OR_RETURN(KeyReader key, BindKey(*e, input.scope));
-      keys.push_back(std::move(key));
-    }
-    std::vector<KeyReader> args;
-    for (const PlanAggSpec& spec : node.aggs) {
-      args.emplace_back();
-      if (spec.arg != nullptr) {
-        TPCDS_ASSIGN_OR_RETURN(args.back(), BindKey(*spec.arg, input.scope));
-        read_exprs.push_back(spec.arg);
-      }
-    }
-
-    size_t nkeys = keys.size();
+    size_t nkeys = node.group_by.size();
     size_t naggs = node.aggs.size();
+    std::vector<CellReader> keys(nkeys);
+    std::vector<CellReader> args(naggs);
+    std::vector<const Expr*> evaluated;  // read over the scratch batch
+    bool stable_keys = true;
+    for (size_t k = 0; k < nkeys; ++k) {
+      TPCDS_ASSIGN_OR_RETURN(keys[k], BindCell(*node.group_by[k], input));
+      if (keys[k].stable()) continue;
+      stable_keys = false;
+      evaluated.push_back(node.group_by[k]);
+    }
+    for (size_t a = 0; a < naggs; ++a) {
+      const PlanAggSpec& spec = node.aggs[a];
+      if (spec.star || spec.arg == nullptr) continue;
+      TPCDS_ASSIGN_OR_RETURN(args[a], BindCell(*spec.arg, input));
+      if (!args[a].stable()) evaluated.push_back(spec.arg);
+    }
 
-    // Phase 1: morsel-parallel partial aggregation at the leaf depth
-    // (all group keys evaluated). Each morsel fills its own table in
-    // first-appearance order; the partition merge below recombines them
-    // in a sequence that depends only on the input.
-    std::vector<AggTable> partials(MorselCount(input.size()));
-    const Value one = Value::Int(1);
+    // One group table per worker. A worker receives its morsels in
+    // ascending order, so a group's open partial belongs to the latest
+    // morsel it was seen in; with several workers the tables record their
+    // closed partials and GroupTable::Combine folds them in morsel order.
+    size_t workers = Workers();
+    bool record = workers > 1 && MorselCount(input.size()) > 1;
+    std::vector<std::unique_ptr<GroupTable>> tables(workers);
+    std::vector<AggScratch> scratch(workers);
     ForEachInputMorsel(
-        input, SlotsRead(read_exprs, input.scope),
-        [&](size_t m, const std::vector<Value>* rows, size_t n) {
-          AggTable& pt = partials[m];
-          pt.Reserve(n);
-          std::vector<Value> scratch(nkeys);
-          Value arg;
-          int64_t group_bytes = 0;
-          for (size_t r = 0; r < n; ++r) {
-            const std::vector<Value>& row = rows[r];
-            for (size_t k = 0; k < nkeys; ++k) {
-              keys[k].ReadInto(row, &scratch[k]);
+        input, SlotsRead(evaluated, input.scope), [&](const MorselRows& in) {
+          std::unique_ptr<GroupTable>& table = tables[in.worker];
+          if (table == nullptr) {
+            table = std::make_unique<GroupTable>(&node.aggs, nkeys, record);
+          }
+          AggScratch& s = scratch[in.worker];
+          if (s.groups.size() < in.n) {
+            s.keys.resize(in.n * nkeys);
+            s.groups.resize(in.n);
+            s.temps.resize(nkeys + 1);
+          }
+          for (size_t k = 0; k < nkeys; ++k) {
+            keys[k].Read(in, &s.temps[k], [&](size_t i, const Cell& c) {
+              s.keys[i * nkeys + k] = KeyCell::Of(c);
+            });
+          }
+          uint64_t row0 = in.morsel * kBatchRows;
+          uint32_t m = static_cast<uint32_t>(in.morsel);
+          int64_t created_groups = 0;
+          for (size_t i = 0; i < in.n; ++i) {
+            const KeyCell* key = &s.keys[i * nkeys];
+            // Fact rows come clustered, and a keyless aggregate has one
+            // group: a row keyed as the one before joins its group.
+            if (i > 0 && std::equal(key, key + nkeys, key - nkeys)) {
+              s.groups[i] = s.groups[i - 1];
+              continue;
             }
-            auto it = pt.index.find(GroupKeyView::Of(scratch));
-            uint32_t g;
-            if (it == pt.index.end()) {
-              if (track_) {
-                group_bytes +=
-                    ApproxRowBytes(scratch) +
-                    static_cast<int64_t>(naggs * sizeof(Accumulator));
+            bool created = false;
+            uint32_t g = table->FindOrAdd(key, HashKey(key, nkeys), row0 + i,
+                                          stable_keys, &created);
+            created_groups += created ? 1 : 0;
+            table->Touch(g, m);
+            s.groups[i] = g;
+          }
+          for (size_t a = 0; a < naggs; ++a) {
+            if (node.aggs[a].star || node.aggs[a].arg == nullptr) {
+              for (size_t i = 0; i < in.n; ++i) {
+                table->Add(a, s.groups[i], Cell{}, row0 + i, true);
               }
-              g = pt.Insert(std::move(scratch), FreshAccumulators(node));
-              scratch.assign(nkeys, Value());
-            } else {
-              g = it->second;
+              continue;
             }
-            for (size_t i = 0; i < naggs; ++i) {
-              pt.accs[g][i].Add(node.aggs[i].star ? one
-                                                  : args[i].Read(row, &arg));
-            }
+            bool stable = args[a].stable();
+            args[a].Read(in, &s.temps[nkeys], [&](size_t i, const Cell& c) {
+              table->Add(a, s.groups[i], c, row0 + i, stable);
+            });
           }
-          // Charge the aggregate hash-table build: each new group holds its
-          // key plus one accumulator per aggregate.
-          if (track_ &&
-              governor_->ChargeRows(static_cast<int64_t>(pt.size()))) {
-            governor_->Reserve(group_bytes);
-          }
+          // Each group is charged once, by the worker table creating it:
+          // a row, plus its key and accumulator bytes.
+          ChargeGroups(created_groups, table->group_bytes());
         });
-    AggTable groups = MergePartials(&partials, naggs);
-    FoldDateKeyedGroups(&groups, nkeys, naggs);
+    std::vector<GroupTable*> built;
+    for (auto& t : tables) {
+      if (t != nullptr) built.push_back(t.get());
+    }
+    GroupTable groups = GroupTable::Combine(built, &node.aggs, nkeys);
+    groups.FoldDateKeyedGroups();
 
     if (node.rollup && nkeys > 0 && !governor_->cancelled()) {
-      // SQL-99 subtotal levels n-1, ..., 0, each computed from the
-      // pristine leaf table, then folded into the global table in depth
-      // order. A subtotal key can collide with a natural all-NULL leaf
-      // key; as in the serial engine, the collision merges into the
-      // earlier group instead of emitting a duplicate key.
-      std::vector<AggTable> levels;
-      levels.reserve(nkeys);
-      for (size_t d = nkeys; d-- > 0;) {
-        levels.push_back(RollupDepth(node, groups, d, nkeys));
-      }
-      groups.index.clear();
-      groups.index.reserve(groups.size());
-      for (size_t g = 0; g < groups.size(); ++g) {
-        groups.index.emplace(GroupKeyView::Of(groups.keys[g]),
-                             static_cast<uint32_t>(g));
-      }
-      for (AggTable& level : levels) {
-        for (size_t j = 0; j < level.size(); ++j) {
-          auto it = groups.index.find(GroupKeyView::Of(level.keys[j]));
-          if (it == groups.index.end()) {
-            groups.Insert(std::move(level.keys[j]), std::move(level.accs[j]));
-          } else {
-            for (size_t a = 0; a < naggs; ++a) {
-              groups.accs[it->second][a].Merge(level.accs[j][a]);
-            }
-          }
-        }
-      }
+      AddRollupLevels(node, &groups);
       // Subtotal keys whose prefixes hold a date and the string naming it.
-      FoldDateKeyedGroups(&groups, nkeys, naggs);
+      groups.FoldDateKeyedGroups();
     }
 
     // No GROUP BY and no input rows still yields one (empty) group.
     if (node.group_by.empty() && groups.size() == 0) {
-      groups.Insert(std::vector<Value>{}, FreshAccumulators(node));
+      bool created = false;
+      groups.FindOrAdd(nullptr, HashKey(nullptr, 0), 0, true, &created);
     }
 
     auto out = std::make_shared<RowSet>();
     out->cols = node.schema;
-    size_t ngroups = groups.size();
-    out->rows.resize(ngroups);
-    // Finalize morsel-parallel: each output row adopts its group's key
-    // vector and appends the finalized aggregate values.
-    ForEachMorsel(ngroups, [&](size_t b, size_t e, size_t) {
+    out->rows.resize(groups.size());
+    ForEachMorsel(groups.size(), [&](size_t b, size_t e, size_t) {
       for (size_t g = b; g < e; ++g) {
         std::vector<Value>& row = out->rows[g];
-        row = std::move(groups.keys[g]);
         row.reserve(nkeys + naggs);
-        for (const Accumulator& acc : groups.accs[g]) {
-          row.push_back(acc.Finalize());
+        const KeyCell* key = groups.key(static_cast<uint32_t>(g));
+        for (size_t k = 0; k < nkeys; ++k) row.push_back(key[k].cell.ToValue());
+        for (size_t a = 0; a < naggs; ++a) {
+          row.push_back(groups.Finalize(a, static_cast<uint32_t>(g)));
         }
       }
     });
     return out;
+  }
+
+  /// SQL-99 subtotal levels n-1, ..., 0, each computed from the pristine
+  /// leaf groups instead of rescanning the input: leaf groups sharing
+  /// their first `depth` keys fold, in leaf order and in morsels of
+  /// kBatchRows leaf groups, into one group whose trailing keys are NULL.
+  /// The first leaf with a given prefix is also the first input row with
+  /// it, so subtotal groups appear in the order a row rescan would emit.
+  /// Then each level folds into `groups` in depth order. A subtotal key
+  /// can equal a natural all-NULL leaf key; the collision merges into the
+  /// earlier group instead of emitting a duplicate key.
+  void AddRollupLevels(const PlanNode& node, GroupTable* groups) {
+    size_t nkeys = groups->nkeys();
+    size_t n = groups->size();
+    std::vector<GroupTable> levels;
+    std::vector<KeyCell> key(nkeys);
+    for (size_t depth = nkeys; depth-- > 0;) {
+      GroupTable& level = levels.emplace_back(&node.aggs, nkeys, false);
+      std::vector<uint32_t> map(n);
+      for (size_t m = 0; m < MorselCount(n); ++m) {
+        if (track_ && !governor_->BeginMorsel()) return;
+        int64_t created_groups = 0;
+        for (size_t leaf = m * kBatchRows;
+             leaf < std::min(n, (m + 1) * kBatchRows); ++leaf) {
+          uint32_t l = static_cast<uint32_t>(leaf);
+          std::copy_n(groups->key(l), depth, key.begin());
+          std::fill(key.begin() + static_cast<long>(depth), key.end(),
+                    KeyCell{});
+          bool created = false;
+          uint32_t g = level.FindOrAdd(key.data(), HashKey(key.data(), nkeys),
+                                       leaf, true, &created);
+          created_groups += created ? 1 : 0;
+          level.Touch(g, static_cast<uint32_t>(m));
+          level.Merge(g, *groups, l, /*open=*/true, /*by_row=*/false);
+          map[leaf] = g;
+        }
+        ChargeGroups(created_groups, level.group_bytes());
+      }
+      level.CloseAll();
+      level.MergeDistinct(*groups, map, false);
+    }
+    for (GroupTable& level : levels) {
+      std::vector<uint32_t> map(level.size());
+      for (uint32_t j = 0; j < level.size(); ++j) {
+        bool created = false;
+        map[j] = groups->FindOrAdd(level.key(j), level.hash(j),
+                                   level.first_row(j), true, &created);
+        groups->Merge(map[j], level, j, false, false);
+      }
+      groups->MergeDistinct(level, map, false);
+    }
   }
 
   // ---- window functions -----------------------------------------------
@@ -2879,21 +2695,33 @@ class PlanExecutor : public SubqueryEvaluator {
           }
         }
       } else {
-        // Aggregate over the whole partition.
-        PlanAggSpec spec;
-        spec.function = fn.function;
-        spec.star = fn.star;
+        // Aggregate over the whole partition: one group per partition, its
+        // rows in row order, as one morsel.
+        std::vector<PlanAggSpec> specs(1);
+        specs[0].function = fn.function;
+        specs[0].star = fn.star;
         std::unique_ptr<BoundExpr> arg;
-        if (!spec.star && fn.arg != nullptr) {
+        if (!fn.star && fn.arg != nullptr) {
           TPCDS_ASSIGN_OR_RETURN(arg, BindExpr(*fn.arg, *scope, this));
         }
+        GroupTable table(&specs, 1, false);
+        Value v;
         for (auto& [key, rows] : partitions) {
-          Accumulator acc(&spec);
+          int64_t ordinal = static_cast<int64_t>(table.size());
+          KeyCell id = KeyCell::Of(Cell::Word(Value::Kind::kInt, ordinal));
+          bool created = false;
+          uint32_t g = table.FindOrAdd(&id, HashKey(&id, 1), 0, true, &created);
+          table.Touch(g, 0);
           for (size_t r : rows) {
-            acc.Add(spec.star ? Value::Int(1) : arg->Eval(scope->rows[r]));
+            if (arg != nullptr) v = arg->Eval(scope->rows[r]);
+            table.Add(0, g, Cell::Of(v), r, false);
           }
-          Value v = acc.Finalize();
-          for (size_t r : rows) results[r] = v;
+        }
+        table.CloseAll();
+        uint32_t g = 0;
+        for (auto& [key, rows] : partitions) {
+          Value result = table.Finalize(0, g++);
+          for (size_t r : rows) results[r] = result;
         }
       }
 
@@ -2958,35 +2786,6 @@ class PlanExecutor : public SubqueryEvaluator {
     }
     if (!any) mixed.clear();
     return mixed;
-  }
-
-  /// Groups as GROUP BY compares their keys. Where a key position holds
-  /// dates in some groups and strings in others, a string naming a date
-  /// keys as that date (MixedDateColumns / DateKeyed), so groups that
-  /// Value::Compare equates but that hashed apart fold into one: the
-  /// first-seen group keeps its key, and each later one merges into it in
-  /// first-seen order, which no worker count changes.
-  static void FoldDateKeyedGroups(AggTable* groups, size_t nkeys,
-                                  size_t naggs) {
-    std::vector<bool> mixed = MixedDateColumns({&groups->keys}, nkeys);
-    if (mixed.empty()) return;
-    RowList copy;
-    const RowList& keyed = DateKeyed(groups->keys, mixed, &copy);
-    std::unordered_map<GroupKeyView, uint32_t, GroupKeyHash, GroupKeyEq>
-        first;
-    AggTable folded;
-    for (size_t g = 0; g < groups->size(); ++g) {
-      auto [it, fresh] = first.try_emplace(
-          GroupKeyView::Of(keyed[g]), static_cast<uint32_t>(folded.size()));
-      if (fresh) {
-        folded.Insert(std::move(groups->keys[g]), std::move(groups->accs[g]));
-        continue;
-      }
-      for (size_t a = 0; a < naggs; ++a) {
-        folded.accs[it->second][a].Merge(groups->accs[g][a]);
-      }
-    }
-    *groups = std::move(folded);
   }
 
   /// Rows as set operations and DISTINCT compare them. Value::Compare

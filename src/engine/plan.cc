@@ -293,7 +293,9 @@ class Planner {
   Result<std::shared_ptr<PlanNode>> PlanBareSelect(
       const SelectStmt& stmt, const std::vector<OrderItem>* order_by,
       int64_t limit) {
-    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> node, PlanFrom(stmt));
+    std::vector<int> from_order;
+    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> node,
+                           PlanFrom(stmt, &from_order));
 
     // ---- aggregation --------------------------------------------------
     std::map<std::string, std::string> rewrites;
@@ -335,9 +337,10 @@ class Planner {
     for (const SelectItem& item : stmt.select_items) {
       if (item.is_star) {
         for (size_t i = 0; i < node->schema.size(); ++i) {
-          proj->schema.push_back(node->schema[i]);
           PlanProjection p;
           p.slot = static_cast<int>(i);
+          if (!has_aggregates && i < from_order.size()) p.slot = from_order[i];
+          proj->schema.push_back(node->schema[static_cast<size_t>(p.slot)]);
           proj->projections.push_back(p);
         }
         continue;
@@ -357,7 +360,11 @@ class Planner {
       proj->schema.push_back(std::move(col));
     }
     proj->num_visible = proj->schema.size();
-    for (const RowSet::Col& c : node->schema) proj->schema.push_back(c);
+    // Only an ORDER BY reads the input's columns above the projection, so
+    // only then do they pass through, hidden (MakeTruncate drops them).
+    if (order_by != nullptr && !order_by->empty()) {
+      for (const RowSet::Col& c : node->schema) proj->schema.push_back(c);
+    }
     proj->children.push_back(std::move(node));
     node = std::move(proj);
 
@@ -595,17 +602,47 @@ class Planner {
     return node;
   }
 
-  Result<std::shared_ptr<PlanNode>> PlanFrom(const SelectStmt& stmt);
+  /// Plans FROM and WHERE as a left-deep join pipeline. When a star's
+  /// fact moves ahead of FROM order, *from_order receives the pipeline's
+  /// output slots in FROM column order (empty otherwise).
+  Result<std::shared_ptr<PlanNode>> PlanFrom(const SelectStmt& stmt,
+                                             std::vector<int>* from_order);
 
   const DataFacade* facade_;
   PlannerOptions options_;
   PhysicalPlan* plan_;
 };
 
-Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
+Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(
+    const SelectStmt& stmt, std::vector<int>* from_order) {
   if (stmt.from_items.empty()) {
     return Status::InvalidArgument("SELECT requires a FROM clause");
   }
+  // The join pipeline's order: FROM order, except that a star's fact comes
+  // first. With the star transformation on and more than two FROM items,
+  // the first comma-joined item whose base table the schema classes as a
+  // fact moves to the front; the others keep FROM order, and JOIN ... ON
+  // items never move.
+  std::vector<size_t> order(stmt.from_items.size());
+  for (size_t t = 0; t < order.size(); ++t) order[t] = t;
+  if (options_.star_transformation && order.size() > 2) {
+    for (size_t t = 0; t < order.size(); ++t) {
+      const FromItem& item = stmt.from_items[t];
+      if (item.join_kind != FromItem::JoinKind::kComma ||
+          item.derived != nullptr ||
+          plan_->cte_schemas.count(ToLower(item.table_name)) != 0) {
+        continue;
+      }
+      const EngineTable* table = facade_->FindTable(ToLower(item.table_name));
+      if (table == nullptr || !table->is_fact()) continue;
+      std::rotate(order.begin(), order.begin() + static_cast<long>(t),
+                  order.begin() + static_cast<long>(t) + 1);
+      break;
+    }
+  }
+  std::vector<const FromItem*> items;
+  for (size_t t : order) items.push_back(&stmt.from_items[t]);
+
   std::vector<const Expr*> conjuncts;
   FlattenConjuncts(stmt.where.get(), &conjuncts);
   std::vector<bool> consumed(conjuncts.size(), false);
@@ -621,12 +658,12 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
     const Expr* left_key = nullptr;  // expression over the earlier scope
     int index_col = -1;
   };
-  std::vector<Deferred> deferred(stmt.from_items.size());
+  std::vector<Deferred> deferred(items.size());
   if (options_.index_joins) {
     // Metadata scope of items 0..t-1 (alias-qualified column names only).
     RowSet earlier_meta;
-    for (size_t t = 0; t < stmt.from_items.size(); ++t) {
-      const FromItem& item = stmt.from_items[t];
+    for (size_t t = 0; t < items.size(); ++t) {
+      const FromItem& item = *items[t];
       std::string qualifier =
           item.alias.empty() ? item.table_name : item.alias;
       EngineTable* base =
@@ -715,15 +752,15 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
 
   // Plan every non-deferred FROM item (filters pushed down per table).
   std::vector<std::shared_ptr<PlanNode>> inputs;
-  inputs.reserve(stmt.from_items.size());
-  for (size_t t = 0; t < stmt.from_items.size(); ++t) {
+  inputs.reserve(items.size());
+  for (size_t t = 0; t < items.size(); ++t) {
     if (deferred[t].table != nullptr) {
       inputs.push_back(nullptr);
       continue;
     }
     TPCDS_ASSIGN_OR_RETURN(
         std::shared_ptr<PlanNode> node,
-        BuildFromItem(stmt, stmt.from_items[t], conjuncts, &consumed));
+        BuildFromItem(stmt, *items[t], conjuncts, &consumed));
     inputs.push_back(std::move(node));
   }
 
@@ -735,9 +772,9 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
   if (options_.star_transformation && inputs.size() > 2) {
     RowSet fact_scope = ScopeOf(*inputs[0]);
     std::shared_ptr<PlanNode> fact = inputs[0];
-    for (size_t t = 1; t < stmt.from_items.size(); ++t) {
+    for (size_t t = 1; t < items.size(); ++t) {
       if (inputs[t] == nullptr) continue;  // deferred to an index join
-      if (stmt.from_items[t].join_kind != FromItem::JoinKind::kComma) {
+      if (items[t]->join_kind != FromItem::JoinKind::kComma) {
         continue;
       }
       RowSet dim_scope = ScopeOf(*inputs[t]);
@@ -777,10 +814,12 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
     inputs[0] = std::move(fact);
   }
 
-  // Left-deep join pipeline in FROM order.
+  // Left-deep join pipeline in that order; widths[t] counts the columns
+  // item t adds.
   std::shared_ptr<PlanNode> current = inputs[0];
-  for (size_t t = 1; t < stmt.from_items.size(); ++t) {
-    const FromItem& item = stmt.from_items[t];
+  std::vector<size_t> widths(items.size(), current->schema.size());
+  for (size_t t = 1; t < items.size(); ++t) {
+    const FromItem& item = *items[t];
     if (deferred[t].table != nullptr) {
       auto node = std::make_shared<PlanNode>();
       node->kind = PlanKind::kIndexJoin;
@@ -792,10 +831,12 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
       PruneColumns(stmt, deferred[t].qualifier, deferred[t].table,
                    &node->scan_cols, &node->schema);
       node->num_visible = 0;
+      widths[t] = node->schema.size() - current->schema.size();
       node->children.push_back(std::move(current));
       current = std::move(node);
       continue;
     }
+    widths[t] = inputs[t]->schema.size();
     std::vector<const Expr*> join_conjuncts;
     if (item.join_kind == FromItem::JoinKind::kComma) {
       // WHERE conjuncts that span exactly the current scope + this table.
@@ -829,6 +870,22 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
   }
   if (!residual.empty()) {
     current = MakeFilter(std::move(current), std::move(residual));
+  }
+  // SELECT * lists columns in FROM order: the join output's slots of each
+  // FROM item in turn.
+  from_order->clear();
+  if (order[0] != 0) {
+    std::vector<size_t> offset(items.size(), 0);
+    for (size_t t = 1; t < items.size(); ++t) {
+      offset[t] = offset[t - 1] + widths[t - 1];
+    }
+    for (size_t i = 0; i < items.size(); ++i) {
+      size_t t = static_cast<size_t>(
+          std::find(order.begin(), order.end(), i) - order.begin());
+      for (size_t c = 0; c < widths[t]; ++c) {
+        from_order->push_back(static_cast<int>(offset[t] + c));
+      }
+    }
   }
   return current;
 }

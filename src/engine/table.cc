@@ -237,8 +237,11 @@ void StorageColumn::ReplaceStorage(std::vector<int64_t> nums,
   backing_.reset();
 }
 
-EngineTable::EngineTable(std::string name, std::vector<ColumnMeta> columns)
-    : name_(std::move(name)), meta_(std::move(columns)) {
+EngineTable::EngineTable(std::string name, std::vector<ColumnMeta> columns,
+                         std::optional<TableClass> table_class)
+    : name_(std::move(name)),
+      meta_(std::move(columns)),
+      table_class_(table_class) {
   columns_.reserve(meta_.size());
   for (size_t i = 0; i < meta_.size(); ++i) {
     columns_.emplace_back(meta_[i].type);
@@ -445,7 +448,7 @@ void EngineTable::InvalidateIndexes() {
 }
 
 std::unique_ptr<EngineTable> EngineTable::Clone() const {
-  auto copy = std::make_unique<EngineTable>(name_, meta_);
+  auto copy = std::make_unique<EngineTable>(name_, meta_, table_class_);
   copy->columns_ = columns_;
   copy->num_rows_ = num_rows_;
   return copy;

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -15,6 +16,7 @@
 #include "engine/batch.h"
 #include "engine/value.h"
 #include "schema/column.h"
+#include "schema/table.h"
 #include "util/mmap_file.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -168,9 +170,14 @@ class EngineTable {
       std::unordered_map<std::string, std::vector<int64_t>, StringIndexHash,
                          std::equal_to<>>;
 
-  EngineTable(std::string name, std::vector<ColumnMeta> columns);
+  /// `table_class` is the schema's class of the table, when it has one
+  /// (the planner takes a fact table as a star's fact).
+  EngineTable(std::string name, std::vector<ColumnMeta> columns,
+              std::optional<TableClass> table_class = std::nullopt);
 
   const std::string& name() const { return name_; }
+  std::optional<TableClass> table_class() const { return table_class_; }
+  bool is_fact() const { return table_class_ == TableClass::kFact; }
   int64_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return meta_.size(); }
   const ColumnMeta& column_meta(size_t i) const { return meta_[i]; }
@@ -283,6 +290,7 @@ class EngineTable {
 
   std::string name_;
   std::vector<ColumnMeta> meta_;
+  std::optional<TableClass> table_class_;
   std::vector<StorageColumn> columns_;
   std::unordered_map<std::string, int> name_to_index_;
   int64_t num_rows_ = 0;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <string>
@@ -14,6 +16,7 @@
 
 #include "engine/database.h"
 #include "engine/governor.h"
+#include "engine/group_table.h"
 #include "util/string_util.h"
 
 namespace tpcds {
@@ -221,22 +224,242 @@ TEST(ParallelAggregateTest, DistinctAndSetOpsByteIdenticalAcrossParallelism) {
   }
 }
 
+/// The fold order of an aggregate's floating-point state, by definition:
+/// each 1024-row morsel sums its rows in row order from 0.0, and the
+/// partials add up in morsel order.
+struct MorselFold {
+  std::map<size_t, double> partials;  // morsel -> partial sum
+  double running = 0.0;              // one running sum, for contrast
+
+  void Add(size_t row, double v) {
+    partials[row / 1024] += v;
+    running += v;
+  }
+  double Total() const {
+    double total = 0.0;
+    for (const auto& [morsel, partial] : partials) total += partial;
+    return total;
+  }
+};
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+TEST(ParallelAggregateTest, DoublesFoldPerMorselInMorselOrderAtAnyParallelism) {
+  // 11,781 rows, 12 morsels. g cycles 0, 1, 2, NULL, so every group has
+  // rows in every morsel; m is a decimal with cents; the value column is
+  // an int (a) or a decimal (b): 5 as an int in morsel 1 and 5.00 later,
+  // 9.00 in morsel 1 and 9 later, 7 elsewhere. With several workers, the
+  // one that sees a group first (in morsel 0) holds a later tie unless it
+  // also ran morsel 1. h picks 5 or 5.00 as a second key, and d = k mod
+  // 100 is counted distinct.
+  constexpr int64_t kRows = 11 * 1024 + 517;
+  Database db;
+  ASSERT_TRUE(db.CreateTable("f", {{"k", ColumnType::kInteger},
+                                   {"g", ColumnType::kInteger},
+                                   {"m", ColumnType::kDecimal},
+                                   {"a", ColumnType::kInteger},
+                                   {"b", ColumnType::kDecimal},
+                                   {"h", ColumnType::kInteger},
+                                   {"d", ColumnType::kInteger}})
+                  .ok());
+  EngineTable* f = db.FindTable("f");
+  auto cents_of = [](int64_t k) { return (k * 7919) % 100000 + 1; };
+  auto money = [](int64_t cents) {
+    return std::to_string(cents / 100) + "." +
+           (cents % 100 < 10 ? "0" : "") + std::to_string(cents % 100);
+  };
+  for (int64_t k = 0; k < kRows; ++k) {
+    int64_t at = k % 1024;
+    int64_t morsel = k / 1024;
+    bool first = morsel == 1;
+    std::string a = "7";
+    std::string b;
+    if (morsel > 0 && at >= 8 && at < 12) {
+      a = first ? "5" : "";
+      b = first ? "" : "5.00";
+    } else if (morsel > 0 && at >= 12 && at < 16) {
+      a = first ? "" : "9";
+      b = first ? "9.00" : "";
+    }
+    ASSERT_TRUE(f->AppendRowStrings({std::to_string(k),
+                                     k % 4 == 3 ? "" : std::to_string(k % 4),
+                                     money(cents_of(k)), a, b,
+                                     k % 3 == 0 ? "1" : "0",
+                                     std::to_string(k % 100)})
+                    .ok());
+  }
+  const std::string five = "CASE WHEN h = 1 THEN 5 ELSE 5.00 END";
+  const std::string value = "CASE WHEN a IS NULL THEN b ELSE a END";
+  const std::string sql =
+      "SELECT g, " + five +
+      ", AVG(m), STDDEV_SAMP(m), AVG(m / 3), STDDEV_SAMP(m / 3), SUM(k), "
+      "SUM(m), MIN(" + value + "), MAX(" + value +
+      "), COUNT(DISTINCT d) FROM f GROUP BY g, " + five;
+
+  // The expected state of each group (g = 3 stands for NULL), by
+  // definition.
+  struct Expected {
+    int64_t first = -1;
+    int64_t count = 0;
+    int64_t sum_k = 0;
+    int64_t sum_cents = 0;
+    MorselFold m, m2, third, third2;
+  };
+  std::map<int64_t, Expected> groups;
+  for (int64_t k = 0; k < kRows; ++k) {
+    Expected& e = groups[k % 4];
+    if (e.first < 0) e.first = k;
+    ++e.count;
+    e.sum_k += k;
+    e.sum_cents += cents_of(k);
+    double d = static_cast<double>(cents_of(k)) / 100;
+    double t = d / 3.0;
+    size_t row = static_cast<size_t>(k);
+    e.m.Add(row, d);
+    e.m2.Add(row, d * d);
+    e.third.Add(row, t);
+    e.third2.Add(row, t * t);
+  }
+  auto stddev = [](double sum, double sq, int64_t count) {
+    double n = static_cast<double>(count);
+    double var = (sq - sum * sum / n) / (n - 1);
+    return var < 0 ? 0.0 : std::sqrt(var);
+  };
+  // The definition differs from one running sum somewhere, so a fold that
+  // ignored morsels would fail below.
+  bool differs = false;
+  for (const auto& [g, e] : groups) {
+    differs |= Bits(e.m.Total()) != Bits(e.m.running) ||
+               Bits(e.third.Total()) != Bits(e.third.running) ||
+               Bits(e.m2.Total()) != Bits(e.m2.running);
+  }
+  ASSERT_TRUE(differs);
+
+  for (int workers : {1, 2, 4}) {
+    PlannerOptions options;
+    options.parallelism = workers;
+    Result<QueryResult> r = db.Query(sql, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 4u) << "parallelism " << workers;
+    for (size_t i = 0; i < r->rows.size(); ++i) {
+      const std::vector<Value>& row = r->rows[i];
+      SCOPED_TRACE("parallelism " + std::to_string(workers) + ", group " +
+                   row[0].ToDisplayString());
+      // Groups come in first-seen order: g = 0, 1, 2, NULL.
+      int64_t g = static_cast<int64_t>(i);
+      ASSERT_EQ(row[0].is_null() ? 3 : row[0].AsInt(), g);
+      const Expected& e = groups.at(g);
+      // The 5/5.00 key shows the kind of the group's first row.
+      EXPECT_EQ(row[1].kind(), e.first % 3 == 0 ? Value::Kind::kInt
+                                                : Value::Kind::kDecimal);
+      EXPECT_EQ(Bits(row[2].AsDouble()),
+                Bits(e.m.Total() / static_cast<double>(e.count)));
+      EXPECT_EQ(Bits(row[3].AsDouble()),
+                Bits(stddev(e.m.Total(), e.m2.Total(), e.count)));
+      EXPECT_EQ(Bits(row[4].AsDouble()),
+                Bits(e.third.Total() / static_cast<double>(e.count)));
+      EXPECT_EQ(Bits(row[5].AsDouble()),
+                Bits(stddev(e.third.Total(), e.third2.Total(), e.count)));
+      EXPECT_EQ(row[6].kind(), Value::Kind::kInt);
+      EXPECT_EQ(row[6].AsInt(), e.sum_k);
+      EXPECT_EQ(row[7].kind(), Value::Kind::kDecimal);
+      EXPECT_EQ(row[7].AsDecimal().cents(), e.sum_cents);
+      // MIN and MAX keep the earliest row's value of a tie: morsel 1's.
+      EXPECT_EQ(row[8].kind(), Value::Kind::kInt);
+      EXPECT_EQ(row[8].AsInt(), 5);
+      EXPECT_EQ(row[9].kind(), Value::Kind::kDecimal);
+      EXPECT_EQ(row[9].ToDisplayString(), "9.00");
+      EXPECT_EQ(row[10].AsInt(), 25);
+    }
+  }
+}
+
+TEST(GroupTableTest, CombineFoldsWorkerTablesAsOneSerialRun) {
+  // Two workers share four morsels, A running 0 and 2 and B running 1 and
+  // 3, as work stealing may hand them out. Their combined tables must
+  // give what one table fed the four morsels in order gives: MIN keeps
+  // the earliest row's value of a tie (B's int 5 of morsel 1, not the
+  // 5.00 of morsel 2 that A, which saw the group first, holds), and AVG
+  // folds the morsel partials in morsel order (1e16 + 1 loses the 1; a
+  // fold of A's partials, then B's, keeps it).
+  std::vector<PlanAggSpec> specs(3);
+  specs[0].function = "MIN";
+  specs[1].function = "AVG";
+  specs[2].function = "COUNT";
+  specs[2].distinct = true;
+  auto dbl = [](double d) {
+    return Cell{Value::Kind::kDouble, std::bit_cast<int64_t>(d), {}};
+  };
+  auto num = [](int64_t v) { return Cell::Word(Value::Kind::kInt, v); };
+  Cell five_dec = Cell::Word(Value::Kind::kDecimal, 500);
+  // Per morsel, rows of (MIN argument, AVG argument).
+  const std::vector<std::vector<std::pair<Cell, Cell>>> morsels = {
+      {{num(7), dbl(1e16)}, {num(8), dbl(0.0)}},
+      {{num(5), dbl(1.0)}, {num(9), dbl(0.0)}},
+      {{five_dec, dbl(-1e16)}, {num(6), dbl(0.0)}},
+      {{num(5), dbl(3.0)}, {num(7), dbl(0.0)}}};
+  auto feed = [&](GroupTable* table, uint32_t m) {
+    KeyCell key = KeyCell::Of(num(1));
+    for (size_t i = 0; i < morsels[m].size(); ++i) {
+      uint64_t row = m * 1024 + i;
+      bool created = false;
+      uint32_t g =
+          table->FindOrAdd(&key, HashKey(&key, 1), row, true, &created);
+      table->Touch(g, m);
+      table->Add(0, g, morsels[m][i].first, row, true);
+      table->Add(1, g, morsels[m][i].second, row, true);
+      table->Add(2, g, morsels[m][i].first, row, true);
+    }
+  };
+  GroupTable serial(&specs, 1, false);
+  for (uint32_t m = 0; m < morsels.size(); ++m) feed(&serial, m);
+  serial.CloseAll();
+  GroupTable a(&specs, 1, true);
+  GroupTable b(&specs, 1, true);
+  feed(&a, 0);
+  feed(&b, 1);
+  feed(&a, 2);
+  feed(&b, 3);
+  GroupTable combined = GroupTable::Combine({&a, &b}, &specs, 1);
+  ASSERT_EQ(combined.size(), 1u);
+  EXPECT_EQ(combined.Finalize(0, 0).kind(), Value::Kind::kInt);
+  EXPECT_EQ(combined.Finalize(0, 0).AsInt(), 5);
+  EXPECT_EQ(Bits(combined.Finalize(1, 0).AsDouble()), Bits(3.0 / 8));
+  EXPECT_EQ(combined.Finalize(2, 0).AsInt(), 5);  // 5 = 5.00, 6, 7, 8, 9
+  for (size_t agg = 0; agg < specs.size(); ++agg) {
+    Value want = serial.Finalize(agg, 0);
+    Value got = combined.Finalize(agg, 0);
+    EXPECT_EQ(got.kind(), want.kind()) << specs[agg].function;
+    EXPECT_EQ(Bits(got.AsDouble()), Bits(want.AsDouble()))
+        << specs[agg].function;
+  }
+}
+
 TEST(ParallelGovernanceTest, RowBudgetTripsInsideParallelAggregateBuild) {
   Database db;
   BuildWideTable(&db, "t", 50000);
-  // 50000 scan rows fit the budget; the aggregate's new-group charges
-  // (97 groups re-seen in each of ~49 morsel partials) push it over.
+  // 50000 scan rows fit the budget; the 50000 groups of GROUP BY k push it
+  // over, each charged once by the worker table that creates it.
   for (int workers : {1, 4}) {
     PlannerOptions options;
     options.parallelism = workers;
     options.row_budget = 51000;
     Result<QueryResult> r =
-        db.Query("SELECT grp, COUNT(*) FROM t GROUP BY grp", options);
+        db.Query("SELECT k, COUNT(*) FROM t GROUP BY k", options);
     ASSERT_FALSE(r.ok()) << "parallelism " << workers;
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
         << "parallelism " << workers;
     EXPECT_NE(r.status().message().find("row budget"), std::string::npos);
   }
+  // A group seen in every morsel is still charged once: the 97 groups of
+  // GROUP BY grp, each in all ~49 morsels, fit the same budget.
+  PlannerOptions serial;
+  serial.parallelism = 1;
+  serial.row_budget = 51000;
+  Result<QueryResult> r =
+      db.Query("SELECT grp, COUNT(*) FROM t GROUP BY grp", serial);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), 97u);
 }
 
 TEST(ParallelGovernanceTest, MemoryBudgetTripsInsideParallelAggregateBuild) {

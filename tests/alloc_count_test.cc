@@ -3,7 +3,8 @@
 // query makes at parallelism 1. On the vectorized path the chain carries
 // row indices and boxes each output row at most once, at its top, and not
 // at all under an aggregate, which reads the indices itself; the reference
-// path boxes every row at every level.
+// path boxes every row at every level. An aggregate builds each of its
+// groups once, however many morsels the group appears in.
 
 #include <gtest/gtest.h>
 
@@ -124,6 +125,38 @@ TEST(AllocationCountTest, AggregateAtopAChainBoxesNothingPerRow) {
   EXPECT_LE(counts[1] - counts[0], 500)
       << counts[0] << " allocations at " << kFactRows << " fact rows, "
       << counts[1] << " at " << 2 * kFactRows;
+}
+
+TEST(AllocationCountTest, AggregateBuildsEachGroupOnce) {
+  // 1,000 groups, each in every morsel. A table per morsel rebuilt every
+  // group in every morsel, about three allocations each (its key, its
+  // accumulators and a hash node); one group table per worker builds each
+  // group once, so doubling the morsels adds no allocation per group.
+  int64_t counts[2] = {0, 0};
+  for (int size : {0, 1}) {
+    Database db;
+    ASSERT_TRUE(db.CreateTable("g", {{"v", ColumnType::kInteger},
+                                     {"w", ColumnType::kInteger}})
+                    .ok());
+    EngineTable* g = db.FindTable("g");
+    const int rows = 6 * 1024 * (size + 1);  // 6 and 12 morsels
+    for (int i = 0; i < rows; ++i) {
+      ASSERT_TRUE(
+          g->AppendRowStrings({std::to_string(i % 1000), std::to_string(i)})
+              .ok());
+    }
+    PlannerOptions options = db.default_options();
+    options.parallelism = 1;
+    const std::string sql =
+        "SELECT v, COUNT(*), SUM(w), AVG(w) FROM g GROUP BY v";
+    int64_t first = 0;
+    AllocationsOf(&db, sql, options, &first);
+    counts[size] = AllocationsOf(&db, sql, options, &first);
+    ASSERT_EQ(first, 0);
+  }
+  EXPECT_LE(counts[1] - counts[0], 100)
+      << counts[0] << " allocations at 6 morsels, " << counts[1]
+      << " at 12";
 }
 
 }  // namespace

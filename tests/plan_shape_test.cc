@@ -297,6 +297,118 @@ TEST_F(StructuralPlanTest, StarReducesOnlyByCommaItemsThatEquiJoinTheFact) {
             "join(nl(semi(fact, d2), d1), d2)");
 }
 
+// ---- The star's fact: the schema's fact table -----------------------------
+
+TEST_F(StructuralPlanTest, StarTakesTheFirstFactTableInFromAsTheFact) {
+  ASSERT_TRUE(db_.CreateTable("sales", {{"s_k1", ColumnType::kIdentifier},
+                                        {"s_k2", ColumnType::kIdentifier},
+                                        {"s_v", ColumnType::kInteger}},
+                              TableClass::kFact)
+                  .ok());
+  ASSERT_TRUE(db_.CreateTable("returns", {{"r_k1", ColumnType::kIdentifier},
+                                          {"r_v", ColumnType::kInteger}},
+                              TableClass::kFact)
+                  .ok());
+  // The fact later in FROM moves to the front; the dimensions keep FROM
+  // order, as semi-joins and as hash joins.
+  EXPECT_EQ(ShapeOf("SELECT COUNT(*) FROM d1, sales, d2 "
+                    "WHERE s_k1 = d1_k AND s_k2 = d2_k",
+                    star_on_),
+            "join(join(semi(semi(sales, d1), d2), d1), d2)");
+  // Of two facts, the first in FROM is the star's fact; the other keeps
+  // its place.
+  EXPECT_EQ(ShapeOf("SELECT COUNT(*) FROM d1, sales, returns "
+                    "WHERE s_k1 = d1_k AND r_k1 = d1_k",
+                    star_on_),
+            "join(join(semi(sales, d1), d1), returns)");
+  // With no fact table in FROM the plan is FROM order's, as before: the
+  // unclassed `fact` table is no fact here.
+  EXPECT_EQ(ShapeOf("SELECT COUNT(*) FROM d1, fact, d2 "
+                    "WHERE f_k1 = d1_k AND f_k2 = d2_k",
+                    star_on_),
+            "join(join(semi(d1, fact), fact), d2)");
+  // An explicit JOIN ... ON item never moves: the fact does, ahead of it,
+  // and the ON item stays where FROM put it.
+  EXPECT_EQ(ShapeOf("SELECT COUNT(*) FROM d1 JOIN d3 ON d1_g = d3_g, sales, "
+                    "d2 WHERE s_k1 = d1_k AND s_k2 = d2_k",
+                    star_on_),
+            "join(join(join(semi(semi(sales, d1), d2), d1), d3), d2)");
+  // A fact joined by JOIN ... ON is not moved, and without the star
+  // transformation nothing is.
+  EXPECT_EQ(ShapeOf("SELECT COUNT(*) FROM d1, d2 JOIN sales ON s_k2 = d2_k "
+                    "WHERE s_k1 = d1_k",
+                    star_on_),
+            "filter(join(nl(d1, d2), sales))");
+  EXPECT_EQ(ShapeOf("SELECT COUNT(*) FROM d1, sales, d2 "
+                    "WHERE s_k1 = d1_k AND s_k2 = d2_k",
+                    star_off_),
+            "join(join(d1, sales), d2)");
+}
+
+TEST_F(StructuralPlanTest, SelectStarKeepsFromColumnOrderWhenTheFactMoves) {
+  ASSERT_TRUE(db_.CreateTable("sales", {{"s_k1", ColumnType::kIdentifier},
+                                        {"s_k2", ColumnType::kIdentifier}},
+                              TableClass::kFact)
+                  .ok());
+  const std::string sql =
+      "SELECT * FROM d2, sales, d3 WHERE s_k1 = d2_k AND s_k2 = d3_k";
+  ASSERT_EQ(ShapeOf(sql, star_on_),
+            "join(join(semi(semi(sales, d2), d3), d2), d3)");
+  const PlanNode* root = Plan(sql, star_on_);
+  ASSERT_NE(root, nullptr);
+  // The scans read only the columns the statement names.
+  std::vector<std::string> names;
+  for (const RowSet::Col& c : root->schema) names.push_back(c.name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"d2_k", "s_k1", "s_k2", "d3_k"}));
+  // And the values sit under their names.
+  Fill("d2", 5);
+  Fill("d3", 5);
+  Fill("sales", 5);
+  Result<QueryResult> r = db_.Query(sql + " AND d2_k = 3", star_on_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->columns[0], "d2.d2_k");
+  for (const Value& v : r->rows[0]) EXPECT_EQ(v.AsInt(), 3);
+}
+
+// ---- Pass-through columns -------------------------------------------------
+
+/// Number of `kind` operators in the plan under `n`.
+int CountKind(const PlanNode& n, PlanKind kind) {
+  int count = n.kind == kind ? 1 : 0;
+  for (const auto& c : n.children) count += CountKind(*c, kind);
+  return count;
+}
+
+TEST_F(StructuralPlanTest, ProjectsPassColumnsThroughOnlyForAnOrderBy) {
+  // Without ORDER BY nothing reads the input's columns above a project,
+  // so none pass through and no truncate drops them: not in a UNION ALL
+  // branch, not in a derived table.
+  for (const std::string& sql :
+       {std::string("SELECT d1_k FROM d1 UNION ALL SELECT d2_k FROM d2"),
+        std::string("SELECT x.k FROM (SELECT d1_k AS k, d1_g FROM d1) x "
+                    "WHERE x.d1_g > 1")}) {
+    const PlanNode* root = Plan(sql, star_on_);
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(CountKind(*root, PlanKind::kTruncate), 0) << sql;
+  }
+  // ORDER BY a column the select list drops still reads it.
+  const std::string sql = "SELECT d1_k FROM d1 ORDER BY d1_g DESC, d1_k";
+  const PlanNode* root = Plan(sql, star_on_);
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(CountKind(*root, PlanKind::kTruncate), 1);
+  Fill("d1", 200);  // d1_g = d1_k = r mod 97
+  Result<QueryResult> r = db_.Query(sql, star_on_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 200u);
+  ASSERT_EQ(r->rows[0].size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsInt(), 96);
+  for (size_t i = 1; i < r->rows.size(); ++i) {
+    EXPECT_LE(r->rows[i][0].AsInt(), r->rows[i - 1][0].AsInt()) << i;
+  }
+}
+
 // ---- Index-join deferral ----------------------------------------------------
 
 TEST_F(StructuralPlanTest, IndexJoinDefersAnUnfilteredIntegerKeyedTable) {
