@@ -74,8 +74,11 @@ TEST(DsgenTest, DifferentSeedsDifferentData) {
   EXPECT_NE(*a, *b);                // ...different content
 }
 
+// The table is a std::string so that the test name prints its text; a
+// const char* inside a tuple prints as its address, which changes with
+// every run of the binary.
 class ChunkEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ChunkEquivalenceTest, ChunkedEqualsSerial) {
   // The paper's parallel-generation requirement: the concatenation of
