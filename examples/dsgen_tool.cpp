@@ -1,8 +1,8 @@
 // dsgen_tool: a command-line clone of the official dsdgen — writes
 // '|'-delimited flat files for all (or selected) TPC-DS tables.
 //
-//   ./examples/dsgen_tool -scale 0.01 -dir /tmp/tpcds_data \
-//                         [-table store_sales] [-parallel 4 -child 2] \
+//   ./examples/dsgen_tool -scale 0.01 -dir /tmp/tpcds_data
+//                         [-table store_sales] [-parallel 4 -child 2]
 //                         [-rngseed 19620718]
 //
 // With -parallel N and -child C the tool emits chunk C of N; the

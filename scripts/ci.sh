@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full pre-merge gate, in increasing order of cost:
 #
-#   1. plain build + complete ctest suite
+#   1. warning-free build (-Werror) + complete ctest suite
 #   2. AddressSanitizer pass over the engine/driver/governance tests
 #   3. ThreadSanitizer pass over the same set
 #
@@ -12,7 +12,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 echo "== build + ctest"
-cmake -B "$BUILD_DIR" -S . >/dev/null
+# -Werror: a new warning in src/, tests/, bench/ or examples/ fails here.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -25,7 +26,8 @@ static_assert(std::endian::native == std::endian::little,
 // Bumped from "TPCDSTB2", whose 62-byte directory entries carried
 // column-encoding fields: such files fail the magic check as kDataLoss.
 constexpr char kTableMagic[8] = {'T', 'P', 'C', 'D', 'S', 'T', 'B', '3'};
-constexpr char kManifestMagic[8] = {'T', 'P', 'C', 'D', 'S', 'C', 'K', '2'};
+// Bumped from "TPCDSCK2", whose table entries carried no table class.
+constexpr char kManifestMagic[8] = {'T', 'P', 'C', 'D', 'S', 'C', 'K', '3'};
 constexpr const char* kManifestName = "MANIFEST";
 
 constexpr size_t kSectionAlign = 64;
@@ -207,22 +209,41 @@ struct ManifestTable {
   std::string name;
   uint64_t rows = 0;
   std::vector<EngineTable::ColumnMeta> columns;
+  std::optional<TableClass> table_class;
   uint32_t file_crc = 0;
 };
+
+/// A table class's manifest byte: 0 for none, 1 for a fact table, 2 for
+/// a dimension.
+uint8_t EncodeTableClass(std::optional<TableClass> table_class) {
+  if (!table_class) return 0;
+  return *table_class == TableClass::kFact ? 1 : 2;
+}
+
+Result<std::optional<TableClass>> DecodeTableClass(uint8_t raw) {
+  using Class = std::optional<TableClass>;
+  switch (raw) {
+    case 0: return Class();
+    case 1: return Class(TableClass::kFact);
+    case 2: return Class(TableClass::kDimension);
+  }
+  return Status::DataLoss("checkpoint manifest: bad table class " +
+                          std::to_string(raw));
+}
 
 struct Manifest {
   uint64_t generation = 0;
   std::vector<ManifestTable> tables;
 };
 
-Result<Manifest> ReadManifest(const std::string& dir) {
-  TPCDS_ASSIGN_OR_RETURN(std::string raw,
-                         ReadWholeFile(dir + "/" + kManifestName));
-  if (raw.size() < 12 || raw.compare(0, 8, kManifestMagic, 8) != 0) {
+/// Parses a MANIFEST file's bytes.
+Result<Manifest> ParseManifest(const char* data, size_t size) {
+  if (size < 12 ||
+      std::memcmp(data, kManifestMagic, sizeof(kManifestMagic)) != 0) {
     return Status::DataLoss("checkpoint manifest: truncated or bad magic");
   }
-  const std::string body = raw.substr(8, raw.size() - 12);
-  if (Crc32(body.data(), body.size()) != LoadU32(raw.data() + raw.size() - 4)) {
+  const std::string body(data + 8, size - 12);
+  if (Crc32(body.data(), body.size()) != LoadU32(data + size - 4)) {
     return Status::DataLoss("checkpoint manifest: CRC mismatch");
   }
   ByteReader reader(body, "checkpoint manifest");
@@ -230,8 +251,9 @@ Result<Manifest> ReadManifest(const std::string& dir) {
   TPCDS_ASSIGN_OR_RETURN(manifest.generation, reader.ReadU64());
   TPCDS_ASSIGN_OR_RETURN(uint32_t table_count, reader.ReadU32());
   // A table entry is at least its name's length, the row count, the column
-  // count and the file CRC; a column entry its name's length and the type.
-  constexpr size_t kMinTableBytes = 4 + 8 + 4 + 4;
+  // count, the table class and the file CRC; a column entry its name's
+  // length and the type.
+  constexpr size_t kMinTableBytes = 4 + 8 + 4 + 1 + 4;
   constexpr size_t kMinColumnBytes = 4 + 1;
   TPCDS_RETURN_NOT_OK(
       reader.NeedItems(table_count, kMinTableBytes, "tables"));
@@ -251,6 +273,8 @@ Result<Manifest> ReadManifest(const std::string& dir) {
           meta.type, DecodeColumnType(raw_type, "checkpoint manifest"));
       entry.columns.push_back(std::move(meta));
     }
+    TPCDS_ASSIGN_OR_RETURN(uint8_t raw_class, reader.ReadU8());
+    TPCDS_ASSIGN_OR_RETURN(entry.table_class, DecodeTableClass(raw_class));
     TPCDS_ASSIGN_OR_RETURN(entry.file_crc, reader.ReadU32());
     manifest.tables.push_back(std::move(entry));
   }
@@ -258,6 +282,12 @@ Result<Manifest> ReadManifest(const std::string& dir) {
     return Status::DataLoss("checkpoint manifest: trailing bytes");
   }
   return manifest;
+}
+
+Result<Manifest> ReadManifest(const std::string& dir) {
+  TPCDS_ASSIGN_OR_RETURN(std::string raw,
+                         ReadWholeFile(dir + "/" + kManifestName));
+  return ParseManifest(raw.data(), raw.size());
 }
 
 /// Rejects a section that is not 64-byte aligned or escapes the file.
@@ -432,7 +462,8 @@ Status RestoreCheckpoint(Database* db, const std::string& dir,
   }
   TPCDS_ASSIGN_OR_RETURN(Manifest manifest, ReadManifest(dir));
   for (const ManifestTable& entry : manifest.tables) {
-    TPCDS_RETURN_NOT_OK(db->CreateTable(entry.name, entry.columns));
+    TPCDS_RETURN_NOT_OK(
+        db->CreateTable(entry.name, entry.columns, entry.table_class));
     EngineTable* table = db->FindTable(entry.name);
     TPCDS_RETURN_NOT_OK(
         load_table(table, entry, dir + "/" + entry.name + ".col"));
@@ -467,6 +498,7 @@ Status SaveCheckpointTo(const Database& db, const std::string& dir) {
       PutLenString(&body, meta.name);
       body.push_back(static_cast<char>(meta.type));
     }
+    body.push_back(static_cast<char>(EncodeTableClass(table->table_class())));
     PutU32(&body, file_crc);
   }
   TPCDS_FAULT_POINT("ckpt-manifest");

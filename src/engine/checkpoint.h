@@ -30,11 +30,11 @@ namespace tpcds {
 ///                 serves zero-copy string_views. section_crc covers the
 ///                 column's null + data + arena bytes (padding excluded);
 ///                 dir_crc covers the directory bytes.
-///   MANIFEST      "TPCDSCK2" | body | u32 crc(body); the body carries the
+///   MANIFEST      "TPCDSCK3" | body | u32 crc(body); the body carries the
 ///                 dataset generation id and lists every table (name, row
-///                 count, column names + types, whole-file crc of its .col
-///                 file). Written last via tmp + rename: a directory
-///                 without a MANIFEST is not a checkpoint.
+///                 count, column names + types, table class, whole-file
+///                 crc of its .col file). Written last via tmp + rename: a
+///                 directory without a MANIFEST is not a checkpoint.
 ///
 /// Two read paths share the format:
 ///   - LoadCheckpointFrom: deep load. Reads each file fully, verifies the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <thread>
@@ -121,19 +122,21 @@ StorageEq ProbeWord(Value::Kind kind, const Value& v, int64_t* word) {
 
 // ------------------------------------------------------------ index form
 
-/// A join pipeline's probe side in index form (docs/EXECUTOR.md): one
-/// uint32 row index per source instead of a boxed row. Source 0 is the
-/// probe-side base table, read through its storage columns `scan_cols`;
-/// each hash join above it adds its build side's rows as the next source,
-/// where KeyTable::kNone marks a LEFT JOIN miss. The rows stay in the
-/// scan's morsel chunks, in morsel order: a chunk holds what grew from at
-/// most kBatchRows probe rows, row-major, sources() indices per row.
+/// Rows in index form (docs/EXECUTOR.md): one uint32 row index per source
+/// instead of a boxed row. Source 0 is a base table read through its
+/// storage columns `scan_cols`, or any boxed RowSet (a derived table, a
+/// CTE, a set operation's output, a memoised result), read like a build
+/// side and never mutated; each hash join adds its build side's rows as
+/// the next source, where KeyTable::kNone marks a LEFT JOIN miss. The rows
+/// stay in morsel chunks, in order: a chunk holds what grew from at most
+/// kBatchRows rows of source 0, row-major, sources() indices per row.
 struct IndexedRows {
   std::vector<RowSet::Col> cols;  // the schema of the boxed rows
-  const EngineTable* table = nullptr;
+  const EngineTable* table = nullptr;  // source 0, when read from storage
   const std::vector<int>* scan_cols = nullptr;
-  std::vector<std::shared_ptr<RowSet>> builds;  // source s is builds[s - 1]
-  std::vector<size_t> widths;                   // columns of each source
+  /// Source s's boxed rows; null for source 0 read from `table`.
+  std::vector<std::shared_ptr<const RowSet>> rowsets;
+  std::vector<size_t> widths;  // columns of each source
   std::vector<std::vector<uint32_t>> chunks;
 
   size_t sources() const { return widths.size(); }
@@ -161,18 +164,18 @@ Value::Kind StorageKind(ColumnType type) {
   }
 }
 
-/// One column of the index form, read per row tuple: from storage for
-/// source 0, from the build row otherwise. A kNone index reads NULL.
+/// One column of the index form, read per row tuple: from storage for a
+/// table source, from the boxed row otherwise. A kNone index reads NULL.
 struct IndexedCol {
   size_t source = 0;
-  const StorageColumn* storage = nullptr;  // source 0
-  const RowSet* build = nullptr;           // a build source
+  const StorageColumn* storage = nullptr;  // a table source
+  const RowSet* rows = nullptr;            // a boxed source
   size_t slot = 0;                         // the value's slot in its row
 
   Value Get(const uint32_t* tuple) const {
     uint32_t r = tuple[source];
     if (r == KeyTable::kNone) return Value::Null();
-    return storage != nullptr ? storage->Get(r) : build->rows[r][slot];
+    return storage != nullptr ? storage->Get(r) : rows->rows[r][slot];
   }
   /// True when the column stores its values as words of `kind`, so a
   /// typed probe reads them without boxing.
@@ -190,11 +193,10 @@ Result<IndexedCol> ResolveIndexed(const IndexedRows& in, const Expr& key) {
   IndexedCol col;
   col.slot = static_cast<size_t>(resolved);
   while (col.slot >= in.widths[col.source]) col.slot -= in.widths[col.source++];
-  if (col.source == 0) {
+  col.rows = in.rowsets[col.source].get();
+  if (col.rows == nullptr) {
     col.storage = &in.table->column(
         static_cast<size_t>((*in.scan_cols)[col.slot]));
-  } else {
-    col.build = in.builds[col.source - 1].get();
   }
   return col;
 }
@@ -212,15 +214,17 @@ Value::Kind FirstKind(const IndexedRows& in, const IndexedCol& col) {
   return Value::Kind::kNull;
 }
 
-/// Reads the index form's rows as boxed rows, a global morsel at a time:
-/// rows [b, e) of the chunks concatenated, whichever chunks hold them, so
-/// work split into kBatchRows morsels of the reader has the boundaries it
-/// has over the materialised rows. Read writes the slots marked in `read`
-/// (every slot when it is empty) in place: source 0's columns gathered
-/// from storage a column at a time, a build source's values copied from
-/// its row, NULL for a LEFT JOIN miss. Materialize reads every slot into
-/// the final rows; an aggregate or a project reads the slots its
-/// expressions use into a scratch batch it reuses.
+/// Reads rows of the index form as boxed rows, writing the slots marked in
+/// `read` (every slot when it is empty) in place: a table source's columns
+/// gathered from storage a column at a time, a boxed source's values
+/// copied from its row, NULL for a LEFT JOIN miss. ReadTuples reads any
+/// index tuples of the form's shape, such as a chunk an operator is still
+/// filtering; Read reads a global morsel, rows [b, e) of the chunks as they
+/// were when the reader was made, whichever chunks hold them, so work
+/// split into kBatchRows morsels of the reader has the boundaries it has
+/// over the materialised rows. Materialize reads every slot into the final
+/// rows; the other readers read the slots their expressions use into a
+/// scratch batch they reuse.
 class IndexReader {
  public:
   IndexReader(const IndexedRows& in, const std::vector<bool>& read)
@@ -233,8 +237,8 @@ class IndexReader {
     for (size_t s = 0; s < k; ++s) {
       for (size_t i = 0; i < in.widths[s]; ++i, ++slot) {
         if (!read.empty() && !read[slot]) continue;
-        Col col{s, slot, i, nullptr};
-        if (s == 0) {
+        Col col{s, slot, i, nullptr, in.rowsets[s].get()};
+        if (col.rows == nullptr) {
           col.storage = &in.table->column(
               static_cast<size_t>((*in.scan_cols)[i]));
         }
@@ -246,38 +250,42 @@ class IndexReader {
 
   size_t size() const { return offset_.back(); }
   size_t width() const { return width_; }
+  size_t sources() const { return in_.sources(); }
 
   /// Points out[0], ..., out[e - b - 1] at the index tuples of rows [b, e).
   void Tuples(size_t b, size_t e, const uint32_t** out) const {
     ForEachSpan(b, e, [&](const uint32_t* tuples, size_t n, size_t at) {
-      for (size_t i = 0; i < n; ++i) out[at + i] = tuples + i * in_.sources();
+      for (size_t i = 0; i < n; ++i) out[at + i] = tuples + i * sources();
     });
   }
 
   /// Writes the read slots of rows [b, e) into out[0], ..., out[e - b - 1],
   /// each at least width() values wide.
   void Read(size_t b, size_t e, std::vector<Value>* out) const {
-    if (cols_.empty()) return;
-    size_t k = in_.sources();
     ForEachSpan(b, e, [&](const uint32_t* tuples, size_t n, size_t at) {
-      std::vector<Value>* rows = out + at;
-      for (const Col& col : cols_) {
-        if (col.storage != nullptr) {
-          GatherColumn(*col.storage, tuples, n, k, col.slot, rows);
-          continue;
-        }
-        const std::vector<std::vector<Value>>& build =
-            in_.builds[col.source - 1]->rows;
-        for (size_t i = 0; i < n; ++i) {
-          uint32_t r = tuples[i * k + col.source];
-          if (r == KeyTable::kNone) {
-            rows[i][col.slot].SetNull();
-          } else {
-            rows[i][col.slot] = build[r][col.at];
-          }
+      ReadTuples(tuples, n, out + at);
+    });
+  }
+
+  /// Writes the read slots of the n index tuples from `tuples` on into
+  /// rows[0], ..., rows[n - 1], each at least width() values wide.
+  void ReadTuples(const uint32_t* tuples, size_t n,
+                  std::vector<Value>* rows) const {
+    size_t k = sources();
+    for (const Col& col : cols_) {
+      if (col.storage != nullptr) {
+        GatherColumn(*col.storage, tuples, n, k, col.slot, rows);
+        continue;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t r = tuples[i * k + col.source];
+        if (r == KeyTable::kNone) {
+          rows[i][col.slot].SetNull();
+        } else {
+          rows[i][col.slot] = col.rows->rows[r][col.at];
         }
       }
-    });
+    }
   }
 
  private:
@@ -285,7 +293,7 @@ class IndexReader {
   /// tuples from `tuples` on, rows at - b on of the range.
   template <typename Fn>
   void ForEachSpan(size_t b, size_t e, const Fn& fn) const {
-    size_t k = in_.sources();
+    size_t k = sources();
     size_t c = static_cast<size_t>(
         std::upper_bound(offset_.begin(), offset_.end(), b) -
         offset_.begin() - 1);
@@ -301,7 +309,8 @@ class IndexReader {
     size_t source;  // index within the tuple
     size_t slot;    // slot in the boxed row
     size_t at;      // column within its source
-    const StorageColumn* storage;  // source 0
+    const StorageColumn* storage;  // a table source
+    const RowSet* rows;            // a boxed source
   };
 
   const IndexedRows& in_;
@@ -347,6 +356,7 @@ class PlanExecutor : public SubqueryEvaluator {
           static_cast<size_t>(workers));
       pool_ = owned_pool_.get();
     }
+    batches_.resize(Workers());
   }
 
   /// Nested executor for uncorrelated subqueries: shares the parent's
@@ -363,7 +373,8 @@ class PlanExecutor : public SubqueryEvaluator {
         governor_(governor),
         track_(governor->has_limits() || FaultInjector::Global().enabled()),
         pool_(pool),
-        cte_results_(ctes) {}
+        cte_results_(ctes),
+        batches_(Workers()) {}
 
   Result<std::shared_ptr<RowSet>> Run() {
     for (const auto& [name, node] : plan_->ctes) {
@@ -407,15 +418,78 @@ class PlanExecutor : public SubqueryEvaluator {
     return result;
   }
 
-  /// Executes an Indexable() node for the join above it, in index form.
+  /// Runs `node` for a consumer that reads the index form: as an operator
+  /// of the index form when it runs as one and is not shared, else its
+  /// boxed rows wrapped as the one source.
   Result<IndexedRows> ExecIndexed(const std::shared_ptr<PlanNode>& node) {
-    return Instrumented<IndexedRows>(*node, [&]() -> Result<IndexedRows> {
-      switch (node->kind) {
-        case PlanKind::kScan: return ScanIndexed(*node);
-        case PlanKind::kSemiJoinReduce: return SemiJoinIndexed(*node);
-        default: return HashJoinIndexed(*node);
+    if (node->memoize || !InIndexForm(*node)) {
+      TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> rs, Exec(node));
+      std::vector<RowSet::Col> cols = rs->cols;
+      return Wrapped(std::move(rs), std::move(cols));
+    }
+    return Instrumented<IndexedRows>(*node,
+                                     [&] { return RunIndexed(*node); });
+  }
+
+  /// True when `node` runs as an operator of the index form: a CTE
+  /// reference always, and on the vectorized path every scan, filter,
+  /// star semi-join on a bare fact column and equi hash join on bare
+  /// probe-side columns but a LEFT JOIN with residual predicates. Every
+  /// other node runs its row operator.
+  bool InIndexForm(const PlanNode& node) const {
+    if (node.kind == PlanKind::kCteRef) return true;
+    if (!options_.vectorized_execution) return false;
+    switch (node.kind) {
+      case PlanKind::kScan: {
+        const EngineTable* table = facade_->FindTable(node.table_name);
+        return table != nullptr &&
+               static_cast<uint64_t>(table->num_rows()) < KeyTable::kNone;
       }
-    });
+      case PlanKind::kFilter:
+        return true;
+      case PlanKind::kSemiJoinReduce:
+        return node.fact_key->tag == Expr::Tag::kColumnRef;
+      case PlanKind::kHashJoin:
+        if (node.equi.empty() || (node.left_outer && !node.residual.empty())) {
+          return false;
+        }
+        for (const PlanEquiKey& key : node.equi) {
+          if (key.left->tag != Expr::Tag::kColumnRef) return false;
+        }
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  /// Runs an InIndexForm() node as an operator of the index form.
+  Result<IndexedRows> RunIndexed(const PlanNode& node) {
+    switch (node.kind) {
+      case PlanKind::kScan: return ScanIndexed(node);
+      case PlanKind::kCteRef: return CteIndexed(node);
+      case PlanKind::kFilter: return FilterIndexed(node);
+      case PlanKind::kSemiJoinReduce: return SemiJoinIndexed(node);
+      default: return HashJoinIndexed(node);
+    }
+  }
+
+  /// `rs` in index form: one boxed source, in kBatchRows chunks of row
+  /// indices, read under the schema `cols`.
+  static IndexedRows Wrapped(std::shared_ptr<const RowSet> rs,
+                             std::vector<RowSet::Col> cols) {
+    IndexedRows out;
+    out.widths = {cols.size()};
+    out.cols = std::move(cols);
+    size_t n = rs->rows.size();
+    out.chunks.resize(MorselCount(n));
+    for (size_t m = 0; m < out.chunks.size(); ++m) {
+      std::vector<uint32_t>& chunk = out.chunks[m];
+      chunk.resize(std::min(n, (m + 1) * kBatchRows) - m * kBatchRows);
+      std::iota(chunk.begin(), chunk.end(),
+                static_cast<uint32_t>(m * kBatchRows));
+    }
+    out.rowsets = {std::move(rs)};
+    return out;
   }
 
   /// The bookkeeping of every operator, whatever form its output takes:
@@ -453,17 +527,14 @@ class PlanExecutor : public SubqueryEvaluator {
   static size_t RowCount(const IndexedRows& rows) { return rows.size(); }
 
   Result<std::shared_ptr<RowSet>> Dispatch(const PlanNode& node) {
+    if (InIndexForm(node)) return Materialize(RunIndexed(node));
     switch (node.kind) {
       case PlanKind::kScan: return ExecScan(node);
-      case PlanKind::kCteRef: return ExecCteRef(node);
+      case PlanKind::kCteRef: break;  // always InIndexForm
       case PlanKind::kDerived: return ExecDerived(node);
       case PlanKind::kIndexJoin: return ExecIndexJoin(node);
-      case PlanKind::kSemiJoinReduce:
-        if (Indexable(node)) return Materialize(SemiJoinIndexed(node));
-        return ExecSemiJoinReduce(node);
-      case PlanKind::kHashJoin:
-        if (Indexable(node)) return Materialize(HashJoinIndexed(node));
-        return ExecHashJoin(node);
+      case PlanKind::kSemiJoinReduce: return ExecSemiJoinReduce(node);
+      case PlanKind::kHashJoin: return ExecHashJoin(node);
       case PlanKind::kFilter: return ExecFilter(node);
       case PlanKind::kAggregate: return ExecAggregate(node);
       case PlanKind::kWindow: return ExecWindow(node);
@@ -537,27 +608,80 @@ class PlanExecutor : public SubqueryEvaluator {
     pool_->WaitIdle();
   }
 
-  /// Runs fn(unit) for each of `count` morsel-sized work units. Each unit
-  /// passes the governor's boundary check (cancellation token, deadline,
-  /// "morsel" fault site) before it runs — the unit of responsiveness the
-  /// limits are specified in.
+  /// Runs fn(unit, worker) for each of `count` morsel-sized work units,
+  /// `worker` as in ParallelForWorkers. Each unit passes the governor's
+  /// boundary check (cancellation token, deadline, "morsel" fault site)
+  /// before it runs — the unit of responsiveness the limits are specified
+  /// in.
   template <typename Fn>
   void ForEachUnit(size_t count, const Fn& fn) {
     QueryGovernor* gov = governor_;
     bool checked = track_;
-    ParallelFor(count, [&fn, gov, checked](size_t u) {
+    ParallelForWorkers(count, [&fn, gov, checked](size_t u, size_t worker) {
       if (checked && !gov->BeginMorsel()) return;
-      fn(u);
+      fn(u, worker);
     });
   }
 
   /// Runs fn(begin, end, morsel_index) over [0, n) in kBatchRows morsels.
   template <typename Fn>
   void ForEachMorsel(size_t n, const Fn& fn) {
-    ForEachUnit(MorselCount(n), [&fn, n](size_t m) {
+    ForEachUnit(MorselCount(n), [&fn, n](size_t m, size_t) {
       size_t b = m * kBatchRows;
       fn(b, std::min(n, b + kBatchRows), m);
     });
+  }
+
+  /// Worker `worker`'s scratch batch, its first n <= kBatchRows rows
+  /// `width` values wide. It is overwritten by every read and kept warm
+  /// across the statement's operators, so a warm batch allocates nothing
+  /// per row unless a string outgrows its slot.
+  std::vector<Value>* Batch(size_t worker, size_t n, size_t width) {
+    RowList& batch = batches_[worker];
+    if (batch.size() < n) batch.resize(n);
+    for (size_t i = 0; i < n; ++i) batch[i].resize(width);
+    return batch.data();
+  }
+
+  /// Predicates bound over the index form's schema, and a reader of its
+  /// shape that reads the slots they use.
+  struct IndexedPreds {
+    std::vector<std::unique_ptr<BoundExpr>> bound;
+    IndexReader reader;
+  };
+
+  Result<IndexedPreds> BindIndexed(const std::vector<const Expr*>& preds,
+                                   const IndexedRows& in) {
+    RowSet scope;
+    scope.cols = in.cols;
+    TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> bound,
+                           BindAll(preds, scope));
+    return IndexedPreds{std::move(bound),
+                        IndexReader(in, SlotsRead(preds, scope))};
+  }
+
+  /// Keeps the index tuples of `chunk`, of the predicates' reader's shape,
+  /// whose row passes every predicate, in order and in place: reads them,
+  /// at most kBatchRows at a time, into the worker's scratch batch, in the
+  /// slots the predicates use.
+  void KeepPassing(const IndexedPreds& preds, size_t worker,
+                   std::vector<uint32_t>* chunk) {
+    const IndexReader& reader = preds.reader;
+    size_t k = reader.sources();
+    size_t n = chunk->size() / k;
+    uint32_t* tuples = chunk->data();
+    size_t kept = 0;
+    for (size_t b = 0; b < n; b += kBatchRows) {
+      size_t e = std::min(n, b + kBatchRows);
+      std::vector<Value>* rows = Batch(worker, e - b, reader.width());
+      reader.ReadTuples(&tuples[b * k], e - b, rows);
+      for (size_t i = b; i < e; ++i) {
+        if (!PassesAll(preds.bound, rows[i - b])) continue;
+        for (size_t s = 0; s < k; ++s) tuples[kept * k + s] = tuples[i * k + s];
+        ++kept;
+      }
+    }
+    chunk->resize(kept * k);
   }
 
   /// Charges one operator's freshly materialised buffer against the row
@@ -640,64 +764,12 @@ class PlanExecutor : public SubqueryEvaluator {
     return table;
   }
 
-  /// True when `node` can hand its rows to the join above it in index
-  /// form: on the vectorized path, an unshared scan without residual
-  /// predicates, or an unshared star semi-join or equi hash join without
-  /// residual predicates, over such a node, that reads its probe keys as
-  /// bare columns.
-  bool Indexable(const PlanNode& node) const {
-    if (!options_.vectorized_execution || node.memoize) return false;
-    switch (node.kind) {
-      case PlanKind::kScan: {
-        const EngineTable* table = facade_->FindTable(node.table_name);
-        return table != nullptr && node.residual_predicates.empty() &&
-               static_cast<uint64_t>(table->num_rows()) < KeyTable::kNone;
-      }
-      case PlanKind::kSemiJoinReduce:
-        return node.fact_key->tag == Expr::Tag::kColumnRef &&
-               Indexable(*node.children[0]);
-      case PlanKind::kHashJoin:
-        if (node.equi.empty() || !node.residual.empty()) return false;
-        for (const PlanEquiKey& key : node.equi) {
-          if (key.left->tag != Expr::Tag::kColumnRef) return false;
-        }
-        return Indexable(*node.children[0]);
-      default:
-        return false;
-    }
-  }
-
+  /// The row path's scan: boxes every row and keeps those that pass the
+  /// scan's predicates.
   Result<std::shared_ptr<RowSet>> ExecScan(const PlanNode& node) {
     TPCDS_ASSIGN_OR_RETURN(EngineTable* table, ScanTable(node));
     RowSet scope;
     scope.cols = node.schema;
-    // A scan whose every filter stays residual has nothing to select on
-    // raw storage: it keeps the row path.
-    if (options_.vectorized_execution &&
-        static_cast<uint64_t>(table->num_rows()) < KeyTable::kNone &&
-        (node.residual_predicates.empty() || !node.kernels.empty() ||
-         PushdownsOf(node) != nullptr)) {
-      if (node.residual_predicates.empty()) {
-        return Materialize(ScanIndexed(node));
-      }
-      // Selection on raw storage, then the residual expr_eval predicates
-      // over the rows that survive it.
-      TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> residual,
-                             BindAll(node.residual_predicates, scope));
-      auto rs = std::make_shared<RowSet>();
-      rs->cols = node.schema;
-      std::vector<RowList> bufs(MorselCount(table->num_rows()));
-      SelectRows(node, *table, [&](size_t m, SelectionVector& sel) {
-        RowList& buf = bufs[m];
-        std::vector<Value> row;
-        for (uint32_t r : sel) {
-          if (BoxPassing(*table, node, r, residual, &row)) buf.push_back(row);
-        }
-        ChargeRows(buf);
-      });
-      ConcatMorsels(&bufs, &rs->rows);
-      return rs;
-    }
     TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> filters,
                            BindAll(node.predicates, scope));
 
@@ -721,7 +793,12 @@ class PlanExecutor : public SubqueryEvaluator {
       RowList& buf = bufs[m];
       std::vector<Value> row;
       for (size_t r = b; r < e; ++r) {
-        if (BoxPassing(*table, node, r, filters, &row)) buf.push_back(row);
+        row.clear();
+        row.reserve(node.scan_cols.size());
+        for (int c : node.scan_cols) {
+          row.push_back(table->GetValue(static_cast<int64_t>(r), c));
+        }
+        if (PassesAll(filters, row)) buf.push_back(row);
       }
       ChargeRows(buf);
     });
@@ -729,38 +806,43 @@ class PlanExecutor : public SubqueryEvaluator {
     return rs;
   }
 
-  /// Boxes the scanned columns of table row `r` into *row; true when the
-  /// row passes `preds`.
-  static bool BoxPassing(const EngineTable& table, const PlanNode& node,
-                         size_t r,
-                         const std::vector<std::unique_ptr<BoundExpr>>& preds,
-                         std::vector<Value>* row) {
-    row->clear();
-    row->reserve(node.scan_cols.size());
-    for (int c : node.scan_cols) {
-      row->push_back(table.GetValue(static_cast<int64_t>(r), c));
-    }
-    return PassesAll(preds, *row);
-  }
-
   /// A vectorized scan in index form: its selection vectors, one chunk
-  /// per morsel that kept rows. Nothing is gathered; the rows count
-  /// against the row budget here, and their indices against the memory
-  /// budget.
+  /// per morsel that kept rows. Nothing is boxed: the residual predicates
+  /// read the selected rows into the worker's scratch batch. The rows that
+  /// pass count against the row budget here, and their indices against
+  /// the memory budget.
   Result<IndexedRows> ScanIndexed(const PlanNode& node) {
     TPCDS_ASSIGN_OR_RETURN(EngineTable* table, ScanTable(node));
     IndexedRows out;
     out.cols = node.schema;
     out.table = table;
     out.scan_cols = &node.scan_cols;
+    out.rowsets = {nullptr};
     out.widths = {node.scan_cols.size()};
+    TPCDS_ASSIGN_OR_RETURN(IndexedPreds residual,
+                           BindIndexed(node.residual_predicates, out));
     out.chunks.resize(MorselCount(table->num_rows()));
-    SelectRows(node, *table, [&](size_t m, SelectionVector& sel) {
+    SelectRows(node, *table, [&](size_t m, size_t worker,
+                                 SelectionVector& sel) {
+      if (!residual.bound.empty() && !sel.empty()) {
+        KeepPassing(residual, worker, &sel);
+      }
       ChargeIndexRows(sel.size(), 1);
       out.chunks[m] = std::move(sel);
     });
     out.DropEmptyChunks();
     return out;
+  }
+
+  /// A CTE reference in index form: the CTE's rows, read in place under
+  /// the reference's schema.
+  Result<IndexedRows> CteIndexed(const PlanNode& node) {
+    auto it = cte_results_.find(node.cte_name);
+    if (it == cte_results_.end()) {
+      return Status::InvalidArgument("unknown CTE: " + node.cte_name);
+    }
+    node.stats.rows_in = static_cast<int64_t>(it->second->rows.size());
+    return Wrapped(it->second, node.schema);
   }
 
   /// Charges `rows` freshly produced index tuples of `sources` indices
@@ -772,11 +854,10 @@ class PlanExecutor : public SubqueryEvaluator {
         static_cast<int64_t>(rows * sources * sizeof(uint32_t)));
   }
 
-  /// Boxes the index form's rows, once, at the top of a join pipeline,
-  /// for a consumer that does not read the index form itself: the
-  /// IndexReader writes every slot, a morsel at a time, into the final
-  /// rows. The rows were counted where they were produced; their bytes
-  /// are charged here.
+  /// Boxes rows in index form, once, for a consumer that does not read
+  /// the index form itself: the IndexReader writes every slot, a morsel at
+  /// a time, into the final rows. The rows were counted where they were
+  /// produced; their bytes are charged here.
   Result<std::shared_ptr<RowSet>> Materialize(Result<IndexedRows> result) {
     TPCDS_ASSIGN_OR_RETURN(IndexedRows in, std::move(result));
     IndexReader reader(in, {});
@@ -799,7 +880,8 @@ class PlanExecutor : public SubqueryEvaluator {
   /// The selection every vectorized scan runs: zone maps prune whole
   /// morsels first, then typed kernels and pushed join-key filters compact
   /// each remaining morsel's identity selection on the raw storage
-  /// vectors, and emit(morsel, selection) runs in the morsel's task.
+  /// vectors, and emit(morsel, worker, selection) runs in the morsel's
+  /// task.
   /// Counts the scan's work: every table row scanned, the payload of the
   /// morsels read, morsels pruned and Bloom rejects.
   template <typename Emit>
@@ -873,7 +955,10 @@ class PlanExecutor : public SubqueryEvaluator {
     std::atomic<int64_t> pruned{0};
     std::atomic<int64_t> rejects{0};
     std::atomic<int64_t> bytes{prunable ? 0 : touched_payload};
-    ForEachMorsel(static_cast<size_t>(n), [&](size_t b, size_t e, size_t m) {
+    ForEachUnit(MorselCount(static_cast<size_t>(n)), [&](size_t m,
+                                                         size_t worker) {
+      size_t b = m * kBatchRows;
+      size_t e = std::min(static_cast<size_t>(n), b + kBatchRows);
       if (always_false) {
         pruned.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -907,7 +992,7 @@ class PlanExecutor : public SubqueryEvaluator {
         int64_t removed = ApplyPushdowns(table, *pushdowns, &sel);
         rejects.fetch_add(removed, std::memory_order_relaxed);
       }
-      emit(m, sel);
+      emit(m, worker, sel);
     });
     node.stats.morsels_pruned += pruned.load();
     node.stats.bloom_rejects += rejects.load();
@@ -1046,19 +1131,6 @@ class PlanExecutor : public SubqueryEvaluator {
     return ok;
   }
 
-  Result<std::shared_ptr<RowSet>> ExecCteRef(const PlanNode& node) {
-    auto it = cte_results_.find(node.cte_name);
-    if (it == cte_results_.end()) {
-      return Status::InvalidArgument("unknown CTE: " + node.cte_name);
-    }
-    // Copy: the same CTE may be consumed (and re-qualified) several times.
-    auto rs = std::make_shared<RowSet>(*it->second);
-    rs->cols = node.schema;
-    rs->num_visible = node.num_visible;
-    node.stats.rows_in = static_cast<int64_t>(rs->rows.size());
-    return rs;
-  }
-
   Result<std::shared_ptr<RowSet>> ExecDerived(const PlanNode& node) {
     TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> rs,
                            ExecOwned(node.children[0]));
@@ -1100,7 +1172,7 @@ class PlanExecutor : public SubqueryEvaluator {
     KeyTable table;
   };
 
-  /// The vectorized path's build side: indexes the rows of `rs` by `key`
+  /// The index form's build side: indexes the rows of `rs` by `key`
   /// in a KeyTable, a multimap over row indices when `chain` is set (hash
   /// join) or a key set (semi-join). NULL keys are left out; they never
   /// match. The table's bytes are charged to the governor before it is
@@ -1128,38 +1200,12 @@ class PlanExecutor : public SubqueryEvaluator {
     return out;
   }
 
-  /// Looks each row of `rs` up in a typed build side by `key`: (*first)[r]
-  /// becomes the first build row whose key equals row r's, else
-  /// KeyTable::kNone. Returns false when some key maps onto no word
-  /// (ProbeWord's kUnsupported); the caller then falls back to boxed keys.
-  bool ProbeTypedKeys(const TypedKeys& keys, const KeyReader& key,
-                      const RowSet& rs, std::vector<uint32_t>* first) {
-    size_t n = rs.rows.size();
-    first->assign(n, KeyTable::kNone);
-    std::atomic<bool> unsupported{false};
-    ForEachMorsel(n, [&](size_t b, size_t e, size_t) {
-      Value scratch;
-      for (size_t r = b; r < e; ++r) {
-        int64_t word = 0;
-        switch (ProbeWord(keys.kind, key.Read(rs.rows[r], &scratch), &word)) {
-          case StorageEq::kExact:
-            (*first)[r] = keys.table.Find(word);
-            break;
-          case StorageEq::kNoMatch:
-            break;
-          case StorageEq::kUnsupported:
-            unsupported.store(true, std::memory_order_relaxed);
-            return;
-        }
-      }
-    });
-    return !unsupported.load();
-  }
-
-  /// ProbeTypedKeys over the index form: (*first)[c][i] becomes the first
-  /// build row whose key equals that of row i of chunk c, else
-  /// KeyTable::kNone. A key column that stores the build side's words is
-  /// read straight from storage.
+  /// Looks each row of the index form up in a typed build side by `col`:
+  /// (*first)[c][i] becomes the first build row whose key equals that of
+  /// row i of chunk c, else KeyTable::kNone. A key column that stores the
+  /// build side's words is read straight from storage. Returns false when
+  /// some key maps onto no word (ProbeWord's kUnsupported); the caller
+  /// then falls back to boxed keys.
   bool ProbeTypedIndexed(const TypedKeys& keys, const IndexedCol& col,
                          const IndexedRows& in,
                          std::vector<std::vector<uint32_t>>* first) {
@@ -1169,7 +1215,7 @@ class PlanExecutor : public SubqueryEvaluator {
     const int64_t* nums = words ? col.storage->nums().data() : nullptr;
     const uint8_t* nulls = words ? col.storage->nulls().data() : nullptr;
     std::atomic<bool> unsupported{false};
-    ForEachUnit(in.chunks.size(), [&](size_t c) {
+    ForEachUnit(in.chunks.size(), [&](size_t c, size_t) {
       const std::vector<uint32_t>& chunk = in.chunks[c];
       std::vector<uint32_t>& f = (*first)[c];
       f.assign(chunk.size() / k, KeyTable::kNone);
@@ -1243,45 +1289,34 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   /// A star semi-join's dimension side: its rows and their distinct keys,
-  /// a typed key set on the vectorized path when the keys allow one, else
-  /// boxed values.
+  /// a typed key set when the keys allow one, else boxed values.
   struct SemiKeys {
     std::shared_ptr<RowSet> dim;
     std::optional<TypedKeys> typed;
     ValueSet boxed;
   };
 
-  /// Runs a star semi-join's two inputs; `exec_fact` runs the fact side,
-  /// boxed or in index form. On the vectorized path, when the fact side
-  /// bottoms out in a private scan and the reduction key is a bare column,
-  /// the dimension runs first and its key set (min/max range + Bloom
-  /// filter) is pushed into that scan, so most non-qualifying fact rows
-  /// are never produced. The exact key-set check still runs over whatever
-  /// the scan produced, so results are byte-identical to the unpushed
-  /// order.
-  template <typename Fact, typename ExecFact>
-  Status SemiJoinInputs(const PlanNode& node, const ExecFact& exec_fact,
-                        Fact* fact, SemiKeys* keys) {
-    const bool vec = options_.vectorized_execution;
-    const PlanNode* target = nullptr;
+  /// Runs a star semi-join's two inputs, the fact side in index form. When
+  /// the fact side bottoms out in a private scan, the dimension runs first
+  /// and its key set (min/max range + Bloom filter) is pushed into that
+  /// scan, so most non-qualifying fact rows are never produced. The exact
+  /// key-set check still runs over whatever the scan produced, so results
+  /// are byte-identical to the unpushed order.
+  Status SemiJoinInputs(const PlanNode& node, IndexedRows* fact,
+                        SemiKeys* keys) {
+    auto exec_fact = [&] { return ExecIndexed(node.children[0]); };
+    const PlanNode* target = PushdownTargetScan(node.children[0].get());
     int pd_col = -1;
     EngineTable* pd_table = nullptr;
-    if (vec && node.fact_key->tag == Expr::Tag::kColumnRef) {
-      target = PushdownTargetScan(node.children[0].get());
-      if (target != nullptr) {
-        pd_col = ResolveScanStorageCol(*target, *node.fact_key);
-        pd_table =
-            pd_col >= 0 ? facade_->FindTable(target->table_name) : nullptr;
-        if (pd_table == nullptr) target = nullptr;
-      }
+    if (target != nullptr) {
+      pd_col = ResolveScanStorageCol(*target, *node.fact_key);
+      pd_table = pd_col >= 0 ? facade_->FindTable(target->table_name) : nullptr;
+      if (pd_table == nullptr) target = nullptr;
     }
     auto collect = [&]() -> Status {
-      if (vec) {
-        TPCDS_ASSIGN_OR_RETURN(KeyReader key,
-                               BindKey(*node.dim_key, *keys->dim));
-        keys->typed = BuildTypedKeys(key, *keys->dim, /*chain=*/false);
-        if (keys->typed) return Status::OK();
-      }
+      TPCDS_ASSIGN_OR_RETURN(KeyReader key, BindKey(*node.dim_key, *keys->dim));
+      keys->typed = BuildTypedKeys(key, *keys->dim, /*chain=*/false);
+      if (keys->typed) return Status::OK();
       TPCDS_ASSIGN_OR_RETURN(keys->boxed,
                              CollectKeys(*node.dim_key, *keys->dim));
       return Status::OK();
@@ -1342,43 +1377,26 @@ class PlanExecutor : public SubqueryEvaluator {
     return set;
   }
 
+  /// The row path's star semi-join: keeps the boxed fact rows whose key is
+  /// in the dimension's boxed key set.
   Result<std::shared_ptr<RowSet>> ExecSemiJoinReduce(const PlanNode& node) {
-    std::shared_ptr<RowSet> fact;
-    SemiKeys keys;
-    TPCDS_RETURN_NOT_OK(SemiJoinInputs(
-        node, [&] { return ExecOwned(node.children[0]); }, &fact, &keys));
-
-    // hit[r] != KeyTable::kNone keeps fact row r.
-    std::vector<uint32_t> hit;
-    if (keys.typed) {
-      TPCDS_ASSIGN_OR_RETURN(KeyReader fact_key,
-                             BindKey(*node.fact_key, *fact));
-      if (!ProbeTypedKeys(*keys.typed, fact_key, *fact, &hit)) {
-        keys.typed.reset();
-        TPCDS_ASSIGN_OR_RETURN(keys.boxed,
-                               CollectKeys(*node.dim_key, *keys.dim));
-      }
-    }
+    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> fact,
+                           ExecOwned(node.children[0]));
+    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> dim,
+                           Exec(node.children[1]));
+    TPCDS_ASSIGN_OR_RETURN(ValueSet keys, CollectKeys(*node.dim_key, *dim));
+    TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> fact_key,
+                           BindExpr(*node.fact_key, *fact, this));
     size_t before = fact->rows.size();
-    if (!keys.typed) {
-      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> fact_key,
-                             BindExpr(*node.fact_key, *fact, this));
-      BoxedKeySet set = ReconcileKeys(
-          std::move(keys.boxed), FirstKind(before, [&](size_t r) {
-            return fact_key->Eval(fact->rows[r]);
-          }));
-      hit.assign(before, KeyTable::kNone);
-      ForEachMorsel(before, [&](size_t b, size_t e, size_t) {
-        for (size_t r = b; r < e; ++r) {
-          if (set.Contains(fact_key->Eval(fact->rows[r]))) hit[r] = 0;
-        }
-      });
-    }
+    BoxedKeySet set = ReconcileKeys(
+        std::move(keys), FirstKind(before, [&](size_t r) {
+          return fact_key->Eval(fact->rows[r]);
+        }));
     std::vector<RowList> bufs(MorselCount(before));
     ForEachMorsel(before, [&](size_t b, size_t e, size_t m) {
       RowList& buf = bufs[m];
       for (size_t r = b; r < e; ++r) {
-        if (hit[r] != KeyTable::kNone) {
+        if (set.Contains(fact_key->Eval(fact->rows[r]))) {
           buf.push_back(std::move(fact->rows[r]));
         }
       }
@@ -1397,8 +1415,7 @@ class PlanExecutor : public SubqueryEvaluator {
   Result<IndexedRows> SemiJoinIndexed(const PlanNode& node) {
     IndexedRows fact;
     SemiKeys keys;
-    TPCDS_RETURN_NOT_OK(SemiJoinInputs(
-        node, [&] { return ExecIndexed(node.children[0]); }, &fact, &keys));
+    TPCDS_RETURN_NOT_OK(SemiJoinInputs(node, &fact, &keys));
     TPCDS_ASSIGN_OR_RETURN(IndexedCol col,
                            ResolveIndexed(fact, *node.fact_key));
     std::vector<std::vector<uint32_t>> hit;
@@ -1413,7 +1430,7 @@ class PlanExecutor : public SubqueryEvaluator {
     }
     size_t before = fact.size();
     size_t k = fact.sources();
-    ForEachUnit(fact.chunks.size(), [&](size_t c) {
+    ForEachUnit(fact.chunks.size(), [&](size_t c, size_t) {
       std::vector<uint32_t>& chunk = fact.chunks[c];
       size_t w = 0;
       for (size_t i = 0; i * k < chunk.size(); ++i) {
@@ -1474,11 +1491,11 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   /// The boxed join table, for multi-column, string and mixed-kind keys
-  /// and for the row-at-a-time reference path: per partition, an
-  /// unordered_map from boxed key to its first and last build row, and
-  /// `next`, each build row's successor under its key, as KeyTable chains
-  /// them. On the vectorized path a join-level Bloom filter over the build
-  /// hashes rejects unmatchable probe keys before the table lookup.
+  /// and for the row path: per partition, an unordered_map from boxed key
+  /// to its first and last build row, and `next`, each build row's
+  /// successor under its key, as KeyTable chains them. In index form a
+  /// join-level Bloom filter over the build hashes rejects unmatchable
+  /// probe keys before the table lookup.
   struct BoxedTable {
     struct Chain {
       uint32_t head;
@@ -1516,12 +1533,11 @@ class PlanExecutor : public SubqueryEvaluator {
   /// cheap), then each partition's map is built in parallel.
   /// `probe_kinds[i]` is the kind of probe key i (FirstKind): where one
   /// side's keys are dates and the other's strings, the string side goes
-  /// through DateKey, build keys here and probe keys in Find. The Bloom
-  /// filter only pays off with fewer build rows than `probe_rows`: each
-  /// build row costs one insert.
+  /// through DateKey, build keys here and probe keys in Find. With `bloom`
+  /// the table also gets a Bloom filter over the build hashes.
   BoxedTable BuildBoxedTable(std::vector<BuildKey>* bkeys,
                              const std::vector<Value::Kind>& probe_kinds,
-                             size_t probe_rows) {
+                             bool bloom) {
     size_t nr = bkeys->size();
     BoxedTable t;
     t.date_probe.assign(probe_kinds.size(), false);
@@ -1543,7 +1559,7 @@ class PlanExecutor : public SubqueryEvaluator {
         if (!bk.has_null) bk.hash = VecValueHash()(bk.key);
       }
     }
-    if (options_.vectorized_execution && nr < probe_rows) t.bloom.emplace(nr);
+    if (bloom) t.bloom.emplace(nr);
     std::vector<std::vector<uint32_t>> part_rows(kJoinPartitions);
     for (size_t r = 0; r < nr; ++r) {
       const BuildKey& bk = (*bkeys)[r];
@@ -1570,55 +1586,23 @@ class PlanExecutor : public SubqueryEvaluator {
     return t;
   }
 
-  /// Probes the boxed table, built here over `bkeys`, with each row of
-  /// `left`: fills `first` as ProbeTypedKeys does. Returns the number of
-  /// probe rows the Bloom filter rejected.
-  Result<int64_t> ProbeBoxedKeys(const PlanNode& node, const RowSet& left,
-                                 std::vector<BuildKey>* bkeys,
-                                 BoxedTable* table,
-                                 std::vector<uint32_t>* first) {
-    std::vector<std::unique_ptr<BoundExpr>> lkeys;
-    std::vector<Value::Kind> kinds;
-    size_t nl = left.rows.size();
-    for (const PlanEquiKey& pair : node.equi) {
-      TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> l,
-                             BindExpr(*pair.left, left, this));
-      kinds.push_back(
-          FirstKind(nl, [&](size_t r) { return l->Eval(left.rows[r]); }));
-      lkeys.push_back(std::move(l));
-    }
-    *table = BuildBoxedTable(bkeys, kinds, nl);
-    first->assign(nl, KeyTable::kNone);
-    std::atomic<int64_t> rejects{0};
-    ForEachMorsel(nl, [&](size_t b, size_t e, size_t) {
-      std::vector<Value> key(lkeys.size());
-      int64_t morsel_rejects = 0;
-      for (size_t lr = b; lr < e; ++lr) {
-        for (size_t i = 0; i < lkeys.size(); ++i) {
-          key[i] = lkeys[i]->Eval(left.rows[lr]);
-        }
-        (*first)[lr] = table->Find(&key, &morsel_rejects);
-      }
-      if (morsel_rejects > 0) {
-        rejects.fetch_add(morsel_rejects, std::memory_order_relaxed);
-      }
-    });
-    return rejects.load();
-  }
-
-  /// ProbeBoxedKeys over the index form, filling `first` per chunk as
-  /// ProbeTypedIndexed does.
+  /// Probes the boxed table, built here over `bkeys`, with each row of the
+  /// index form: (*first)[c][i] becomes the first build row whose keys
+  /// equal those of row i of chunk c, else KeyTable::kNone. The table has
+  /// a Bloom filter when the build side has fewer rows than the probe
+  /// side, as each build row costs one insert. Returns the number of probe
+  /// rows the Bloom filter rejected.
   int64_t ProbeBoxedIndexed(const std::vector<IndexedCol>& cols,
                             const IndexedRows& in,
                             std::vector<BuildKey>* bkeys, BoxedTable* table,
                             std::vector<std::vector<uint32_t>>* first) {
     std::vector<Value::Kind> kinds;
     for (const IndexedCol& col : cols) kinds.push_back(FirstKind(in, col));
-    *table = BuildBoxedTable(bkeys, kinds, in.size());
+    *table = BuildBoxedTable(bkeys, kinds, bkeys->size() < in.size());
     size_t k = in.sources();
     first->assign(in.chunks.size(), {});
     std::atomic<int64_t> rejects{0};
-    ForEachUnit(in.chunks.size(), [&](size_t c) {
+    ForEachUnit(in.chunks.size(), [&](size_t c, size_t) {
       const std::vector<uint32_t>& chunk = in.chunks[c];
       std::vector<uint32_t>& f = (*first)[c];
       f.resize(chunk.size() / k);
@@ -1638,41 +1622,37 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   /// A hash join's build side: the right input's rows and their keys,
-  /// typed on the vectorized path when there is one key and its values
-  /// are all of one word kind, else boxed.
+  /// typed when there is one key and its values are all of one word kind,
+  /// else boxed.
   struct JoinBuild {
     std::shared_ptr<RowSet> rows;
     std::optional<TypedKeys> typed;
     std::vector<BuildKey> boxed;
   };
 
-  /// Runs a hash join's inputs; `exec_left` runs the probe side, boxed or
-  /// in index form. On the vectorized path, an inner equi-join whose probe
-  /// side bottoms out in a private scan, with at least one bare probe-side
-  /// key column, runs the build side first and pushes the build keys
-  /// (min/max range + Bloom filter) into that scan. The exact table probe
-  /// still runs, so results are byte-identical to the unpushed order.
-  template <typename Left, typename ExecLeft>
-  Status JoinInputs(const PlanNode& node, const ExecLeft& exec_left,
-                    Left* left, JoinBuild* build) {
-    const bool vec = options_.vectorized_execution;
+  /// Runs a hash join's inputs, the probe side in index form. An inner
+  /// join whose probe side bottoms out in a private scan, with at least
+  /// one probe-side key on a column of it, runs the build side first and
+  /// pushes the build keys (min/max range + Bloom filter) into that scan.
+  /// The exact table probe still runs, so results are byte-identical to
+  /// the unpushed order.
+  Status JoinInputs(const PlanNode& node, IndexedRows* left,
+                    JoinBuild* build) {
+    auto exec_left = [&] { return ExecIndexed(node.children[0]); };
     const PlanNode* target = nullptr;
     int pd_col = -1;
     size_t pd_key = 0;
     EngineTable* pd_table = nullptr;
-    if (vec && !node.left_outer && !node.equi.empty()) {
-      const PlanNode* t = PushdownTargetScan(node.children[0].get());
-      if (t != nullptr) {
-        for (size_t i = 0; i < node.equi.size(); ++i) {
-          int c = ResolveScanStorageCol(*t, *node.equi[i].left);
-          if (c < 0) continue;
-          pd_col = c;
-          pd_key = i;
-          pd_table = facade_->FindTable(t->table_name);
-          if (pd_table != nullptr) target = t;
-          break;
-        }
-      }
+    const PlanNode* t =
+        node.left_outer ? nullptr : PushdownTargetScan(node.children[0].get());
+    for (size_t i = 0; t != nullptr && i < node.equi.size(); ++i) {
+      int c = ResolveScanStorageCol(*t, *node.equi[i].left);
+      if (c < 0) continue;
+      pd_col = c;
+      pd_key = i;
+      pd_table = facade_->FindTable(t->table_name);
+      if (pd_table != nullptr) target = t;
+      break;
     }
 
     if (target == nullptr) {
@@ -1684,12 +1664,12 @@ class PlanExecutor : public SubqueryEvaluator {
     // Build-side keys, computed before the probe side runs so a key
     // pushdown can be registered on the probe scan first.
     size_t nr = right.rows.size();
-    if (vec && node.equi.size() == 1) {
+    if (node.equi.size() == 1) {
       TPCDS_ASSIGN_OR_RETURN(KeyReader key,
                              BindKey(*node.equi[0].right, right));
       build->typed = BuildTypedKeys(key, right, /*chain=*/true);
     }
-    if (!build->typed && !node.equi.empty()) {
+    if (!build->typed) {
       TPCDS_ASSIGN_OR_RETURN(build->boxed, BoxedBuildKeys(node, right));
     }
     if (target == nullptr) return Status::OK();
@@ -1731,13 +1711,16 @@ class PlanExecutor : public SubqueryEvaluator {
     return Status::OK();
   }
 
+  /// The row path's hash join, and the vectorized path's for the joins the
+  /// index form does not take: nested-loop joins, LEFT JOINs with residual
+  /// predicates and probe keys other than bare columns. Every output row is
+  /// boxed; the build side's keys stay boxed.
   Result<std::shared_ptr<RowSet>> ExecHashJoin(const PlanNode& node) {
-    const bool vec = options_.vectorized_execution;
-    std::shared_ptr<RowSet> left;
-    JoinBuild build;
-    TPCDS_RETURN_NOT_OK(JoinInputs(
-        node, [&] { return Exec(node.children[0]); }, &left, &build));
-    const RowSet& right = *build.rows;
+    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> left,
+                           Exec(node.children[0]));
+    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> right_rows,
+                           Exec(node.children[1]));
+    const RowSet& right = *right_rows;
 
     auto out = std::make_shared<RowSet>();
     out->cols = node.schema;
@@ -1753,10 +1736,7 @@ class PlanExecutor : public SubqueryEvaluator {
       combined.reserve(out->cols.size());
       combined.insert(combined.end(), lrow.begin(), lrow.end());
       combined.insert(combined.end(), rrow.begin(), rrow.end());
-      for (const auto& rb : residual) {
-        Value v = rb->Eval(combined);
-        if (v.is_null() || !v.IsTruthy()) return false;
-      }
+      if (!PassesAll(residual, combined)) return false;
       buf->push_back(std::move(combined));
       return true;
     };
@@ -1769,7 +1749,6 @@ class PlanExecutor : public SubqueryEvaluator {
 
     size_t nl = left->rows.size();
     std::vector<RowList> bufs(MorselCount(nl));
-    int64_t rejects = 0;
     if (node.equi.empty()) {
       // Nested-loop (cross product with residual filter). This is the
       // runaway shape a bad substitution produces, so the governor is
@@ -1790,36 +1769,33 @@ class PlanExecutor : public SubqueryEvaluator {
         }
       });
     } else {
-      // Probe first, emit second. first[lr] is the first build row
-      // matching probe row lr; its chain runs through ascending build rows
-      // to KeyTable::kNone, so output order is the same on either table
-      // and at any parallelism.
-      std::vector<uint32_t> first;
-      BoxedTable boxed;
-      bool typed_probe = false;
-      if (build.typed) {
-        TPCDS_ASSIGN_OR_RETURN(KeyReader key,
-                               BindKey(*node.equi[0].left, *left));
-        typed_probe = ProbeTypedKeys(*build.typed, key, *left, &first);
-        if (!typed_probe) {
-          TPCDS_ASSIGN_OR_RETURN(build.boxed, BoxedBuildKeys(node, right));
-        }
+      // Each probe row's matches run through its key's chain of ascending
+      // build rows, so output order is the same at any parallelism.
+      TPCDS_ASSIGN_OR_RETURN(std::vector<BuildKey> bkeys,
+                             BoxedBuildKeys(node, right));
+      std::vector<std::unique_ptr<BoundExpr>> lkeys;
+      std::vector<Value::Kind> kinds;
+      for (const PlanEquiKey& pair : node.equi) {
+        TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> l,
+                               BindExpr(*pair.left, *left, this));
+        kinds.push_back(
+            FirstKind(nl, [&](size_t r) { return l->Eval(left->rows[r]); }));
+        lkeys.push_back(std::move(l));
       }
-      if (!typed_probe) {
-        TPCDS_ASSIGN_OR_RETURN(
-            rejects, ProbeBoxedKeys(node, *left, &build.boxed, &boxed, &first));
-      }
-      node.stats.vectorized = vec;
-      auto next_row = [&](uint32_t r) {
-        return typed_probe ? build.typed->table.Next(r) : boxed.next[r];
-      };
+      BoxedTable table = BuildBoxedTable(&bkeys, kinds, /*bloom=*/false);
       ForEachMorsel(nl, [&](size_t b, size_t e, size_t m) {
         RowList& buf = bufs[m];
         buf.reserve(e - b);
+        std::vector<Value> key(lkeys.size());
+        int64_t no_bloom = 0;
         for (size_t lr = b; lr < e; ++lr) {
+          for (size_t i = 0; i < lkeys.size(); ++i) {
+            key[i] = lkeys[i]->Eval(left->rows[lr]);
+          }
           const auto& lrow = left->rows[lr];
           bool matched = false;
-          for (uint32_t r = first[lr]; r != KeyTable::kNone; r = next_row(r)) {
+          for (uint32_t r = table.Find(&key, &no_bloom); r != KeyTable::kNone;
+               r = table.next[r]) {
             matched |= emit(lrow, right.rows[r], &buf);
           }
           if (node.left_outer && !matched) emit_unmatched(lrow, &buf);
@@ -1828,24 +1804,23 @@ class PlanExecutor : public SubqueryEvaluator {
       });
     }
     ConcatMorsels(&bufs, &out->rows);
-    node.stats.bloom_rejects += rejects;
     if (stats_ != nullptr) {
       stats_->rows_joined += static_cast<int64_t>(out->rows.size());
-      stats_->bloom_rejects += rejects;
     }
     return out;
   }
 
   /// The hash join in index form: each probe tuple is followed, chunk by
   /// chunk, by the index of every build row its keys match, in ascending
-  /// build order (the order the boxed join emits them in), or by
+  /// build order (the order the row path emits them in), or by
   /// KeyTable::kNone for a LEFT JOIN miss. The build side's rows become
-  /// the tuples' next source.
+  /// the tuples' next source. An inner join's residual predicates read
+  /// each chunk's new tuples into the worker's scratch batch and keep
+  /// those that pass, before they are counted.
   Result<IndexedRows> HashJoinIndexed(const PlanNode& node) {
     IndexedRows left;
     JoinBuild build;
-    TPCDS_RETURN_NOT_OK(JoinInputs(
-        node, [&] { return ExecIndexed(node.children[0]); }, &left, &build));
+    TPCDS_RETURN_NOT_OK(JoinInputs(node, &left, &build));
     std::vector<IndexedCol> cols;
     for (const PlanEquiKey& key : node.equi) {
       TPCDS_ASSIGN_OR_RETURN(IndexedCol col, ResolveIndexed(left, *key.left));
@@ -1867,15 +1842,25 @@ class PlanExecutor : public SubqueryEvaluator {
     auto next_row = [&](uint32_t r) {
       return typed_probe ? build.typed->table.Next(r) : boxed.next[r];
     };
+    IndexedRows out;
+    out.cols = node.schema;
+    out.table = left.table;
+    out.scan_cols = left.scan_cols;
+    out.rowsets = left.rowsets;
+    out.rowsets.push_back(std::move(build.rows));
+    out.widths = left.widths;
+    out.widths.push_back(node.schema.size() - left.cols.size());
+    TPCDS_ASSIGN_OR_RETURN(IndexedPreds residual,
+                           BindIndexed(node.residual, out));
     size_t k = left.sources();
-    std::vector<std::vector<uint32_t>> chunks(left.chunks.size());
-    ForEachUnit(left.chunks.size(), [&](size_t c) {
+    out.chunks.resize(left.chunks.size());
+    ForEachUnit(left.chunks.size(), [&](size_t c, size_t worker) {
       const std::vector<uint32_t>& in = left.chunks[c];
-      std::vector<uint32_t>& out = chunks[c];
-      out.reserve(in.size() + first[c].size());
+      std::vector<uint32_t>& chunk = out.chunks[c];
+      chunk.reserve(in.size() + first[c].size());
       auto append = [&](const uint32_t* tuple, uint32_t r) {
-        out.insert(out.end(), tuple, tuple + k);
-        out.push_back(r);
+        chunk.insert(chunk.end(), tuple, tuple + k);
+        chunk.push_back(r);
       };
       for (size_t i = 0; i < first[c].size(); ++i) {
         const uint32_t* tuple = &in[i * k];
@@ -1883,19 +1868,16 @@ class PlanExecutor : public SubqueryEvaluator {
         if (r == KeyTable::kNone && node.left_outer) append(tuple, r);
         for (; r != KeyTable::kNone; r = next_row(r)) append(tuple, r);
       }
-      ChargeIndexRows(out.size() / (k + 1), k + 1);
+      if (!residual.bound.empty()) KeepPassing(residual, worker, &chunk);
+      ChargeIndexRows(chunk.size() / (k + 1), k + 1);
     });
-    left.chunks = std::move(chunks);
-    left.DropEmptyChunks();
-    left.widths.push_back(node.schema.size() - left.cols.size());
-    left.builds.push_back(std::move(build.rows));
-    left.cols = node.schema;
+    out.DropEmptyChunks();
     node.stats.bloom_rejects += rejects;
     if (stats_ != nullptr) {
-      stats_->rows_joined += static_cast<int64_t>(left.size());
+      stats_->rows_joined += static_cast<int64_t>(out.size());
       stats_->bloom_rejects += rejects;
     }
-    return left;
+    return out;
   }
 
   Result<std::shared_ptr<RowSet>> ExecIndexJoin(const PlanNode& node) {
@@ -1946,6 +1928,7 @@ class PlanExecutor : public SubqueryEvaluator {
 
   // ---- row-wise operators ---------------------------------------------
 
+  /// The row path's filter: keeps the boxed rows that pass, moving them.
   Result<std::shared_ptr<RowSet>> ExecFilter(const PlanNode& node) {
     TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> rs,
                            ExecOwned(node.children[0]));
@@ -1967,30 +1950,35 @@ class PlanExecutor : public SubqueryEvaluator {
     return rs;
   }
 
-  /// The input of an aggregate or a project: its child's rows, in index
-  /// form when the child is Indexable() (the child's pipeline is then
-  /// never boxed), else boxed.
-  struct RowInput {
-    std::shared_ptr<RowSet> boxed;
-    std::optional<IndexedRows> indexed;
-    RowSet scope;  // the child's schema, to bind against
+  /// A filter in index form: keeps the tuples whose row passes every
+  /// predicate, chunk by chunk, in place. It produces no row, so it
+  /// charges nothing.
+  Result<IndexedRows> FilterIndexed(const PlanNode& node) {
+    TPCDS_ASSIGN_OR_RETURN(IndexedRows in, ExecIndexed(node.children[0]));
+    TPCDS_ASSIGN_OR_RETURN(IndexedPreds preds,
+                           BindIndexed(node.predicates, in));
+    ForEachUnit(in.chunks.size(), [&](size_t c, size_t worker) {
+      KeepPassing(preds, worker, &in.chunks[c]);
+    });
+    in.DropEmptyChunks();
+    node.stats.vectorized = true;
+    return in;
+  }
 
-    size_t size() const {
-      return indexed ? indexed->size() : boxed->rows.size();
-    }
+  /// The input of an aggregate or a project, in index form: its child's
+  /// pipeline, or its child's boxed rows as the one source.
+  struct RowInput {
+    IndexedRows rows;
+    RowSet scope;  // the child's schema, to bind against
   };
 
+  /// Runs the input of `node`. On the vectorized path `node` is tagged:
+  /// a pipeline under it is never boxed.
   Result<RowInput> ExecInput(const PlanNode& node) {
-    const std::shared_ptr<PlanNode>& child = node.children[0];
     RowInput in;
-    if (Indexable(*child)) {
-      TPCDS_ASSIGN_OR_RETURN(in.indexed, ExecIndexed(child));
-      in.scope.cols = in.indexed->cols;
-      node.stats.vectorized = true;
-    } else {
-      TPCDS_ASSIGN_OR_RETURN(in.boxed, Exec(child));
-      in.scope.cols = in.boxed->cols;
-    }
+    TPCDS_ASSIGN_OR_RETURN(in.rows, ExecIndexed(node.children[0]));
+    in.scope.cols = in.rows.cols;
+    node.stats.vectorized = options_.vectorized_execution;
     return in;
   }
 
@@ -2018,56 +2006,35 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   /// One kBatchRows morsel of an aggregate's or a project's input, as
-  /// ForEachInputMorsel hands it over: its rows, boxed or read into the
-  /// running worker's scratch batch, and for the index form each row's
-  /// index tuple.
+  /// ForEachInputMorsel hands it over: its rows, read into the running
+  /// worker's scratch batch, and each row's index tuple.
   struct MorselRows {
     size_t morsel;
     size_t worker;  // the thread running it (see ParallelForWorkers)
     size_t n;
     const std::vector<Value>* rows;
-    const uint32_t* const* tuples;  // the index form only
+    const uint32_t* const* tuples;
   };
 
-  /// Runs fn(in) for each kBatchRows morsel of the input. Boxed rows are
-  /// passed as they are. The index form is read, only in the slots marked
-  /// in `read` (every slot when it is empty), into the running worker's
-  /// scratch batch, which holds at most kBatchRows rows and is
-  /// overwritten in place by every morsel.
+  /// Runs fn(in) for each kBatchRows morsel of the input, read only in the
+  /// slots marked in `read` (every slot when it is empty) into the running
+  /// worker's scratch batch.
   template <typename Fn>
   void ForEachInputMorsel(const RowInput& in, const std::vector<bool>& read,
                           const Fn& fn) {
-    if (!in.indexed) {
-      const RowList& rows = in.boxed->rows;
-      ParallelForWorkers(MorselCount(rows.size()), [&](size_t m,
-                                                       size_t worker) {
-        if (track_ && !governor_->BeginMorsel()) return;
-        size_t b = m * kBatchRows;
-        size_t e = std::min(rows.size(), b + kBatchRows);
-        fn(MorselRows{m, worker, e - b, &rows[b], nullptr});
-      });
-      return;
-    }
-    IndexReader reader(*in.indexed, read);
+    IndexReader reader(in.rows, read);
     size_t n = reader.size();
-    size_t rows = std::min(n, kBatchRows);
-    if (batches_.size() < Workers()) batches_.resize(Workers());
-    std::vector<uint8_t> shaped(batches_.size(), 0);
-    std::vector<std::vector<const uint32_t*>> tuples(batches_.size());
+    std::vector<std::vector<const uint32_t*>> tuples(Workers());
     ParallelForWorkers(MorselCount(n), [&](size_t m, size_t worker) {
       if (track_ && !governor_->BeginMorsel()) return;
-      RowList& batch = batches_[worker];
-      if (shaped[worker] == 0) {
-        if (batch.size() < rows) batch.resize(rows);
-        for (size_t i = 0; i < rows; ++i) batch[i].resize(reader.width());
-        tuples[worker].resize(rows);
-        shaped[worker] = 1;
-      }
       size_t b = m * kBatchRows;
       size_t e = std::min(n, b + kBatchRows);
-      reader.Read(b, e, batch.data());
-      reader.Tuples(b, e, tuples[worker].data());
-      fn(MorselRows{m, worker, e - b, batch.data(), tuples[worker].data()});
+      std::vector<Value>* rows = Batch(worker, e - b, reader.width());
+      std::vector<const uint32_t*>& t = tuples[worker];
+      if (t.size() < e - b) t.resize(e - b);
+      reader.Read(b, e, rows);
+      reader.Tuples(b, e, t.data());
+      fn(MorselRows{m, worker, e - b, rows, t.data()});
     });
   }
 
@@ -2102,7 +2069,7 @@ class PlanExecutor : public SubqueryEvaluator {
     auto out = std::make_shared<RowSet>();
     out->cols = node.schema;
     out->num_visible = node.num_visible;
-    out->rows.resize(input.size());  // 1:1 mapping: write outputs in place
+    out->rows.resize(input.rows.size());  // 1:1: write outputs in place
     ForEachInputMorsel(input, read, [&](const MorselRows& in) {
       int64_t bytes = 0;
       for (size_t r = 0; r < in.n; ++r) {
@@ -2392,13 +2359,12 @@ class PlanExecutor : public SubqueryEvaluator {
   // ---- aggregation ----------------------------------------------------
 
   /// How an aggregate reads one group key or argument per row: straight
-  /// from the index form's source (a storage word or view for source 0,
-  /// the build row otherwise) or from a boxed row's slot, whose holders
-  /// outlive the aggregate, or by evaluating an expression over the
-  /// morsel's rows, whose values last until the worker's next morsel.
+  /// from the index form's source (a storage word or view for a table
+  /// source, the boxed row otherwise), whose holders outlive the
+  /// aggregate, or by evaluating an expression over the morsel's rows,
+  /// whose values last until the worker's next morsel.
   struct CellReader {
-    std::optional<IndexedCol> col;  // a bare column of the index form
-    int slot = -1;                  // a bare column of a boxed row
+    IndexedCol col;  // a bare column
     std::unique_ptr<BoundExpr> expr;
 
     bool stable() const { return expr == nullptr; }
@@ -2414,15 +2380,11 @@ class PlanExecutor : public SubqueryEvaluator {
           (*temps)[i] = expr->Eval(in.rows[i]);
           emit(i, Cell::Of((*temps)[i]));
         }
-      } else if (slot >= 0) {
-        for (size_t i = 0; i < in.n; ++i) {
-          emit(i, Cell::Of(in.rows[i][static_cast<size_t>(slot)]));
-        }
-      } else if (col->storage != nullptr) {
-        const StorageColumn& c = *col->storage;
+      } else if (col.storage != nullptr) {
+        const StorageColumn& c = *col.storage;
         Value::Kind kind = StorageKind(c.type());
         for (size_t i = 0; i < in.n; ++i) {
-          uint32_t r = in.tuples[i][0];
+          uint32_t r = in.tuples[i][col.source];
           if (c.IsNull(r)) {
             emit(i, Cell{});
           } else if (kind == Value::Kind::kString) {
@@ -2432,11 +2394,11 @@ class PlanExecutor : public SubqueryEvaluator {
           }
         }
       } else {
-        const RowList& build = col->build->rows;
+        const RowList& rows = col.rows->rows;
         for (size_t i = 0; i < in.n; ++i) {
-          uint32_t r = in.tuples[i][col->source];
+          uint32_t r = in.tuples[i][col.source];
           emit(i, r == KeyTable::kNone ? Cell{}
-                                       : Cell::Of(build[r][col->slot]));
+                                       : Cell::Of(rows[r][col.slot]));
         }
       }
     }
@@ -2444,13 +2406,10 @@ class PlanExecutor : public SubqueryEvaluator {
 
   Result<CellReader> BindCell(const Expr& e, const RowInput& in) {
     CellReader reader;
-    if (e.tag != Expr::Tag::kColumnRef) {
-      TPCDS_ASSIGN_OR_RETURN(reader.expr, BindExpr(e, in.scope, this));
-    } else if (in.indexed) {
-      TPCDS_ASSIGN_OR_RETURN(reader.col, ResolveIndexed(*in.indexed, e));
+    if (e.tag == Expr::Tag::kColumnRef) {
+      TPCDS_ASSIGN_OR_RETURN(reader.col, ResolveIndexed(in.rows, e));
     } else {
-      TPCDS_ASSIGN_OR_RETURN(reader.slot,
-                             in.scope.Resolve(e.qualifier, e.name));
+      TPCDS_ASSIGN_OR_RETURN(reader.expr, BindExpr(e, in.scope, this));
     }
     return reader;
   }
@@ -2496,7 +2455,7 @@ class PlanExecutor : public SubqueryEvaluator {
     // morsel it was seen in; with several workers the tables record their
     // closed partials and GroupTable::Combine folds them in morsel order.
     size_t workers = Workers();
-    bool record = workers > 1 && MorselCount(input.size()) > 1;
+    bool record = workers > 1 && MorselCount(input.rows.size()) > 1;
     std::vector<std::unique_ptr<GroupTable>> tables(workers);
     std::vector<AggScratch> scratch(workers);
     ForEachInputMorsel(
@@ -2858,8 +2817,8 @@ class PlanExecutor : public SubqueryEvaluator {
   ThreadPool* pool_ = nullptr;
   std::map<std::string, std::shared_ptr<RowSet>> cte_results_;
   std::map<const PlanNode*, std::shared_ptr<RowSet>> memo_;
-  /// Per worker, the scratch batch an aggregate or a project reads the
-  /// index form into (ForEachInputMorsel); kept warm across operators.
+  /// Per worker, the scratch batch the index form's readers read into
+  /// (Batch); kept warm across operators.
   std::vector<RowList> batches_;
   /// Join-key filters registered on scans by enclosing hash/semi joins.
   /// Registration and unregistration happen in the (serial) operator

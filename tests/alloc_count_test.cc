@@ -2,9 +2,10 @@
 // global operator new and counts the heap allocations one three-join chain
 // query makes at parallelism 1. On the vectorized path the chain carries
 // row indices and boxes each output row at most once, at its top, and not
-// at all under an aggregate, which reads the indices itself; the reference
-// path boxes every row at every level. An aggregate builds each of its
-// groups once, however many morsels the group appears in.
+// at all under an aggregate, which reads the indices itself, even through
+// a filter; the reference path boxes every row at every level. An
+// aggregate builds each of its groups once, however many morsels the
+// group appears in.
 
 #include <gtest/gtest.h>
 
@@ -122,6 +123,31 @@ TEST(AllocationCountTest, AggregateAtopAChainBoxesNothingPerRow) {
     counts[size] = AllocationsOf(&db, kChainAggregate, options, &rows);
     ASSERT_EQ(rows, kFactRows * (size + 1));
   }
+  EXPECT_LE(counts[1] - counts[0], 500)
+      << counts[0] << " allocations at " << kFactRows << " fact rows, "
+      << counts[1] << " at " << 2 * kFactRows;
+}
+
+TEST(AllocationCountTest, FilteredChainUnderAnAggregateBoxesNothingPerRow) {
+  // A cross-scope filter between the chain and the aggregate keeps the
+  // chain in index form: it reads the slots it tests into a scratch batch
+  // and keeps the passing tuples, so doubling the fact rows adds no
+  // allocation per row.
+  const std::string sql = std::string(kChainAggregate) +
+                          " WHERE f.k1 + d2.v > 20";
+  int64_t counts[2] = {0, 0};
+  int64_t kept[2] = {0, 0};
+  for (int size : {0, 1}) {
+    Database db;
+    BuildStar(&db, kFactRows * (size + 1));
+    PlannerOptions options = db.default_options();
+    options.parallelism = 1;
+    AllocationsOf(&db, sql, options, &kept[size]);
+    counts[size] = AllocationsOf(&db, sql, options, &kept[size]);
+  }
+  ASSERT_GT(kept[0], 0);
+  ASSERT_LT(kept[0], kFactRows);
+  ASSERT_EQ(kept[1], 2 * kept[0]);
   EXPECT_LE(counts[1] - counts[0], 500)
       << counts[0] << " allocations at " << kFactRows << " fact rows, "
       << counts[1] << " at " << 2 * kFactRows;

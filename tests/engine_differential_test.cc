@@ -248,6 +248,20 @@ class VectorizedDifferentialTest : public ::testing::Test {
     ASSERT_TRUE(db_->LoadTpcdsData(options).ok());
   }
 
+  /// On the vectorized path every filter and every hash join runs in
+  /// index form, except a LEFT JOIN with residual predicates.
+  static void ExpectIndexForm(int id, const ExecStats& stats) {
+    for (const ExecStats::OpStat& op : stats.operators) {
+      bool left_residual =
+          op.label.find("(left outer)") != std::string::npos &&
+          op.label.find(", 0 residual") == std::string::npos;
+      if (op.label.rfind("filter", 0) == 0 ||
+          (op.label.rfind("hash join", 0) == 0 && !left_residual)) {
+        EXPECT_TRUE(op.vectorized) << "template " << id << ": " << op.label;
+      }
+    }
+  }
+
   static Database* db_;
 };
 
@@ -288,13 +302,15 @@ TEST_F(VectorizedDifferentialTest, SampledTemplatesAgreeWithRowSetPath) {
           options.parallelism = workers;
           options.vectorized_execution = vectorized;
           options.topk_pushdown = topk;
-          Result<QueryResult> run = db_->Query(*sql, options, nullptr);
+          ExecStats stats;
+          Result<QueryResult> run = db_->Query(*sql, options, &stats);
           ASSERT_TRUE(run.ok())
               << "template " << id << ": " << run.status().ToString();
           EXPECT_EQ(run->ToCsv(), expected)
               << "template " << id << " at parallelism " << workers
               << (vectorized ? ", vectorized" : ", row-at-a-time")
               << (topk ? ", topk" : ", full sort");
+          if (vectorized) ExpectIndexForm(id, stats);
         }
       }
     }
@@ -643,6 +659,19 @@ class IndexFormTest : public ::testing::Test {
     return stats.operators;
   }
 
+  /// Expects `count` operators of `sql`'s vectorized plan to be labelled
+  /// `label`, each tagged `vec`.
+  static void ExpectEveryTagged(const std::string& sql,
+                                const std::string& label, int count) {
+    int seen = 0;
+    for (const ExecStats::OpStat& op : OperatorsOf(sql, true)) {
+      if (op.label.rfind(label, 0) != 0) continue;
+      ++seen;
+      EXPECT_TRUE(op.vectorized) << sql << ": " << op.label;
+    }
+    EXPECT_EQ(seen, count) << sql;
+  }
+
   static constexpr int kFactRows = 6000;  // five full morsels and a part
   static Database* db_;
 };
@@ -841,18 +870,163 @@ TEST_F(IndexFormTest, ExplainTagsTheConsumersThatReadTheIndexForm) {
                                  true),
                      "project"));
   // A cross-scope OR stays a residual filter between the join and the
-  // aggregate, which then reads boxed rows.
+  // aggregate; the filter keeps the index form, so the aggregate reads it.
   std::vector<ExecStats::OpStat> filtered = OperatorsOf(
       "SELECT COUNT(*) FROM f JOIN d1 ON f.k1 = d1.k1 "
       "WHERE f.v < 10 OR d1.a > 100",
       true);
-  ASSERT_TRUE(std::any_of(filtered.begin(), filtered.end(),
-                          [](const ExecStats::OpStat& op) {
-                            return op.label.rfind("filter", 0) == 0;
-                          }));
-  EXPECT_FALSE(tagged(filtered, "aggregate"));
+  EXPECT_TRUE(tagged(filtered, "filter"));
+  EXPECT_TRUE(tagged(filtered, "aggregate"));
   for (const ExecStats::OpStat& op : OperatorsOf(chain, false)) {
     EXPECT_FALSE(op.vectorized) << op.label;
+  }
+}
+
+// Every input is taken in index form: a derived table, a CTE or a set
+// operation becomes the pipeline's first source, and filters, scan
+// residuals and inner residual joins keep the tuples that pass.
+
+TEST_F(IndexFormTest, DerivedTableProbeSide) {
+  const std::string sql =
+      "SELECT t.id, t.a, d2.b, d3.c FROM (SELECT f.id, f.k2, f.k3, d1.a "
+      "FROM f JOIN d1 ON f.k1 = d1.k1 WHERE f.v < 60) t "
+      "JOIN d2 ON t.k2 = d2.k2 JOIN d3 ON t.k3 = d3.k3";
+  EXPECT_GT(ExpectMatchesReference(sql), 1000u);
+  ExpectEveryTagged(sql, "hash join", 3);
+}
+
+TEST_F(IndexFormTest, CteReadTwice) {
+  // Both branches probe with the CTE's rows; the second filters them
+  // first.
+  const std::string sql =
+      "WITH c AS (SELECT f.id, f.k2, f.k3, f.m, d1.a FROM f "
+      "JOIN d1 ON f.k1 = d1.k1) "
+      "SELECT c.k3, COUNT(*), SUM(c.a), AVG(c.m) FROM c "
+      "JOIN d2 ON c.k2 = d2.k2 GROUP BY c.k3 "
+      "UNION ALL "
+      "SELECT c.k2, COUNT(*), SUM(d3.c), AVG(c.m) FROM c "
+      "JOIN d3 ON c.k3 = d3.k3 WHERE c.id > 100 GROUP BY c.k2";
+  EXPECT_EQ(ExpectMatchesReference(sql), 60u);
+  ExpectEveryTagged(sql, "hash join", 3);
+  ExpectEveryTagged(sql, "filter", 1);
+}
+
+TEST_F(IndexFormTest, UnionAllProbeSide) {
+  // q98's shape: a UNION ALL of two pipelines probes a dimension, and an
+  // aggregate reads the join's index form.
+  const std::string branches =
+      "(SELECT 'a' AS ch, f.k2 AS k, f.m AS m FROM f WHERE f.v < 30 "
+      "UNION ALL SELECT 'b' AS ch, f.k2 AS k, f.m AS m FROM f, d1 "
+      "WHERE f.k1 = d1.k1 AND d1.g = 2) u";
+  EXPECT_GT(ExpectMatchesReference("SELECT u.ch, u.k, d2.b FROM " +
+                                   branches + " JOIN d2 ON u.k = d2.k2"),
+            1000u);
+  const std::string grouped = "SELECT u.ch, d2.b, COUNT(*), SUM(u.m), "
+                              "AVG(u.m) FROM " +
+                              branches +
+                              ", d2 WHERE u.k = d2.k2 GROUP BY u.ch, d2.b";
+  EXPECT_EQ(ExpectMatchesReference(grouped), 72u);
+  ExpectEveryTagged(grouped, "hash join", 2);
+  ExpectEveryTagged(grouped, "aggregate", 1);
+}
+
+TEST_F(IndexFormTest, FilterBetweenTheChainAndAnAggregate) {
+  const std::string sql =
+      "SELECT d3.c, COUNT(*), SUM(f.v), AVG(f.m), STDDEV_SAMP(f.v / 3) "
+      "FROM f JOIN d1 ON f.k1 = d1.k1 JOIN d2 ON f.k2 = d2.k2 "
+      "JOIN d3 ON f.k3 = d3.k3 WHERE f.v + d2.b > 40 OR d1.a < 30 "
+      "GROUP BY d3.c";
+  EXPECT_EQ(ExpectMatchesReference(sql), 20u);
+  ExpectEveryTagged(sql, "filter", 1);
+  ExpectEveryTagged(sql, "aggregate", 1);
+  // The same filter under a consumer that boxes its rows.
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, d2.b, d3.c FROM f JOIN d2 ON f.k2 = d2.k2 "
+                "JOIN d3 ON f.k3 = d3.k3 WHERE f.v + d2.b > 40 OR "
+                "d3.c < 30"),
+            1000u);
+}
+
+TEST_F(IndexFormTest, ScanResidualUnderAStarSemiJoin) {
+  // f.v + f.k3 > 50 compiles to no kernel: the scan evaluates it over the
+  // rows its kernel and d1's pushed key set leave.
+  const std::string sql =
+      "SELECT f.id, d1.a, d2.b FROM f, d1, d2 WHERE f.k1 = d1.k1 "
+      "AND f.k2 = d2.k2 AND d1.g = 1 AND f.v + f.k3 > 50 AND f.v < 90";
+  Result<std::string> plan = db_->Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("star semi-join"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("(1 kernels, 1 residual)"), std::string::npos)
+      << *plan;
+  EXPECT_GT(ExpectMatchesReference(sql), 100u);
+  // A scan whose every filter is residual.
+  EXPECT_GT(ExpectMatchesReference(
+                "SELECT f.id, d1.a FROM f JOIN d1 ON f.k1 = d1.k1 "
+                "WHERE f.v + f.k3 > 50"),
+            1000u);
+}
+
+TEST_F(IndexFormTest, InnerResidualJoinMidChain) {
+  const std::string sql =
+      "SELECT f.id, d1.a, d2.b, d3.c FROM f JOIN d1 ON f.k1 = d1.k1 "
+      "JOIN d2 ON f.k2 = d2.k2 AND d2.b > f.v JOIN d3 ON f.k3 = d3.k3";
+  EXPECT_GT(ExpectMatchesReference(sql), 1000u);
+  ExpectEveryTagged(sql, "hash join", 3);
+  EXPECT_EQ(ExpectMatchesReference(
+                "SELECT d2.x, COUNT(*), SUM(f.m) FROM f "
+                "JOIN d2 ON f.k2 = d2.k2 AND d2.b + f.v < 70 "
+                "JOIN d1 ON f.k1 = d1.k1 GROUP BY d2.x"),
+            8u);
+}
+
+TEST_F(IndexFormTest, LeftResidualAndNestedLoopJoinsKeepTheRowOperators) {
+  // The LEFT JOIN's residual decides which rows pad, so it runs the row
+  // operator; the join above it probes with its boxed rows.
+  const std::string left =
+      "SELECT f.id, d2.b, d3.c FROM f JOIN d1 ON f.k1 = d1.k1 "
+      "LEFT JOIN d2 ON f.k2 = d2.k2 AND d2.b > f.v JOIN d3 ON f.k3 = d3.k3";
+  EXPECT_GT(ExpectMatchesReference(left), 1000u);
+  int joins = 0;
+  for (const ExecStats::OpStat& op : OperatorsOf(left, true)) {
+    if (op.label.rfind("hash join", 0) != 0) continue;
+    ++joins;
+    EXPECT_EQ(op.vectorized,
+              op.label.find("(left outer)") == std::string::npos)
+        << op.label;
+  }
+  EXPECT_EQ(joins, 3);
+  const std::string nested =
+      "SELECT f.id, d4.z FROM f JOIN d4 ON f.v < d4.x WHERE f.id < 500";
+  EXPECT_GT(ExpectMatchesReference(nested), 0u);
+  bool found = false;
+  for (const ExecStats::OpStat& op : OperatorsOf(nested, true)) {
+    if (op.label.rfind("nested-loop join", 0) != 0) continue;
+    found = true;
+    EXPECT_FALSE(op.vectorized) << op.label;
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST_F(IndexFormTest, RowBudgetTripsInsideAFilteredChain) {
+  // The scan produces 6000 rows and the joins 9000 and 18000, which the
+  // filter keeps, charging nothing: 33000 rows fit a budget of 40000, and
+  // a budget of 20000 trips at the second join.
+  const std::string sql =
+      "SELECT COUNT(*) FROM f JOIN d2 ON f.k2 = d2.k2 "
+      "JOIN d2 d2b ON f.k2 = d2b.k2 WHERE f.v + d2.b >= 0";
+  for (int workers : {1, 4}) {
+    PlannerOptions options = db_->default_options();
+    options.parallelism = workers;
+    options.row_budget = 40000;
+    Result<QueryResult> fits = db_->Query(sql, options, nullptr);
+    ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+    EXPECT_EQ(fits->rows[0][0].AsInt(), 18000);
+    options.row_budget = 20000;
+    Result<QueryResult> r = db_->Query(sql, options, nullptr);
+    ASSERT_FALSE(r.ok()) << "parallelism " << workers;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(r.status().message().find("row budget"), std::string::npos)
+        << r.status().ToString();
   }
 }
 

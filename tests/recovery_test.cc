@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <ostream>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,62 @@ TEST_F(RecoveryTest, CheckpointManifestCorruptionIsDataLoss) {
   Database restored;
   Status st = restored.LoadCheckpoint(dir);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+  fs::remove_all(dir);
+}
+
+TEST_F(RecoveryTest, RestoredTablesKeepTheirClass) {
+  // Named after a dimension in FROM, store_sales is still the star's fact
+  // on a restored database: its semi-joins reduce the fact table.
+  const std::string star =
+      "SELECT dt.d_year, i.i_brand_id, SUM(ss_ext_sales_price) "
+      "FROM date_dim dt, store_sales, item i "
+      "WHERE dt.d_date_sk = ss_sold_date_sk AND ss_item_sk = i.i_item_sk "
+      "AND i.i_manufact_id = 128 AND dt.d_moy = 11 "
+      "GROUP BY dt.d_year, i.i_brand_id";
+  auto plan_of = [&](Database* db) {
+    Result<std::string> plan = db->Explain(star);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    // Self times differ from run to run.
+    return std::regex_replace(plan.ok() ? *plan : "",
+                              std::regex(", [0-9.]+ ms"), "");
+  };
+  const std::string live = plan_of(db_);
+  EXPECT_NE(live.find("star semi-join on ss_"), std::string::npos) << live;
+  auto expect_classes = [&](Database* db, const std::string& how) {
+    int facts = 0;
+    for (const TableDef& def : TpcdsSchema().tables()) {
+      const EngineTable* table = db->FindTable(def.name);
+      ASSERT_NE(table, nullptr) << how << ": " << def.name;
+      EXPECT_EQ(table->table_class(), def.table_class)
+          << how << ": " << def.name;
+      facts += table->is_fact() ? 1 : 0;
+    }
+    EXPECT_EQ(facts, 7) << how;
+    EXPECT_EQ(plan_of(db), live) << how;
+  };
+
+  const std::string wal = Scratch("class.wal");  // none: the checkpoint
+  Database recovered;
+  Result<RecoveryReport> rec = Recover(&recovered, ckpt_dir_, wal);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  expect_classes(&recovered, "recovered");
+
+  // A table created without a class is checkpointed without one.
+  ASSERT_TRUE(
+      recovered.CreateTable("mini", {{"k", ColumnType::kInteger}}).ok());
+  const std::string dir = Scratch("class_ckpt");
+  Status st = recovered.SaveCheckpoint(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (const std::string how : {"loaded", "attached", "recovered again"}) {
+    Database db;
+    st = how == "loaded"     ? db.LoadCheckpoint(dir)
+         : how == "attached" ? db.AttachCheckpoint(dir)
+                             : Recover(&db, dir, wal).status();
+    ASSERT_TRUE(st.ok()) << how << ": " << st.ToString();
+    expect_classes(&db, how);
+    ASSERT_NE(db.FindTable("mini"), nullptr) << how;
+    EXPECT_FALSE(db.FindTable("mini")->table_class().has_value()) << how;
+  }
   fs::remove_all(dir);
 }
 

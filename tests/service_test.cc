@@ -74,6 +74,16 @@ class Gate {
   bool open_ = false;
 };
 
+/// Options of a session for `tenant`, other fields at their defaults.
+SessionOptions Tenant(const std::string& tenant, int priority = 0,
+                      double deadline_ms = 0.0) {
+  SessionOptions options;
+  options.tenant = tenant;
+  options.priority = priority;
+  options.deadline_ms = deadline_ms;
+  return options;
+}
+
 void ExpectBalanced(const ServiceCounters& c) {
   EXPECT_TRUE(c.Balanced()) << c.ToString();
 }
@@ -89,7 +99,7 @@ TEST_F(ServiceTest, CompletesConcurrentStatementsFromManySessions) {
   for (int s = 0; s < 6; ++s) {
     clients.emplace_back([&service, &completed, s] {
       Session session =
-          service.OpenSession({"tenant-" + std::to_string(s)});
+          service.OpenSession(Tenant("tenant-" + std::to_string(s)));
       for (int q = 0; q < 4; ++q) {
         QueryOutcome out =
             session.Execute("SELECT grp, COUNT(*) FROM t GROUP BY grp");
@@ -157,8 +167,8 @@ TEST_F(ServiceTest, OverloadShedsNewestLowestPriorityWaiterFirst) {
     gate.Block();
   };
   QueryService service(config, db);
-  Session low = service.OpenSession({"low", /*priority=*/0});
-  Session high = service.OpenSession({"high", /*priority=*/5});
+  Session low = service.OpenSession(Tenant("low", /*priority=*/0));
+  Session high = service.OpenSession(Tenant("high", /*priority=*/5));
   QueryTicket a = low.Submit("SELECT COUNT(*) FROM t");  // occupies the slot
   gate.WaitForBlocked(1);
   QueryTicket b = low.Submit("SELECT COUNT(*) FROM t");  // queued, oldest
@@ -198,7 +208,8 @@ TEST_F(ServiceTest, DeadlineExpiresInQueueWithoutBurningASlot) {
   Session session = service.OpenSession();
   QueryTicket running = session.Submit("SELECT grp FROM t");
   gate.WaitForBlocked(1);
-  Session hurried = service.OpenSession({"hurried", 0, /*deadline_ms=*/20.0});
+  Session hurried =
+      service.OpenSession(Tenant("hurried", 0, /*deadline_ms=*/20.0));
   QueryTicket doomed = hurried.Submit("SELECT COUNT(*) FROM t");
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   gate.Open();
@@ -238,7 +249,8 @@ TEST_F(ServiceTest, PredictedDeadlineMissIsRejectedAtSubmit) {
   gate.WaitForBlocked(1);
   // Every slot is busy and the estimated wait (~30 ms EMA) already blows
   // the 1 ms deadline: reject at submit instead of queueing a dead query.
-  Session hurried = service.OpenSession({"hurried", 0, /*deadline_ms=*/1.0});
+  Session hurried =
+      service.OpenSession(Tenant("hurried", 0, /*deadline_ms=*/1.0));
   QueryTicket doomed = hurried.Submit("SELECT COUNT(*) FROM t");
   const QueryOutcome& out = doomed.Wait();
   EXPECT_EQ(out.disposition, QueryDisposition::kRejectedDeadline);
@@ -333,8 +345,8 @@ TEST_F(ServiceTest, ShedFaultMakesSheddingUnavailableNotLossy) {
   config.max_queue_depth = 1;
   config.on_execute = [&](const std::string&, int) { gate.Block(); };
   QueryService service(config, db);
-  Session low = service.OpenSession({"low", 0});
-  Session high = service.OpenSession({"high", 5});
+  Session low = service.OpenSession(Tenant("low", /*priority=*/0));
+  Session high = service.OpenSession(Tenant("high", /*priority=*/5));
   QueryTicket running = low.Submit("SELECT COUNT(*) FROM t");
   gate.WaitForBlocked(1);
   QueryTicket waiter = low.Submit("SELECT COUNT(*) FROM t");
