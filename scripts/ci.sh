@@ -2,8 +2,10 @@
 # The full pre-merge gate, in increasing order of cost:
 #
 #   1. warning-free build (-Werror) + complete ctest suite
-#   2. AddressSanitizer pass over the engine/driver/governance tests
-#   3. ThreadSanitizer pass over the same set
+#   2. the benchmark's self-test and a check of its 297 answers
+#   3. the full_benchmark drills
+#   4. AddressSanitizer pass over the engine/driver/governance tests
+#   5. ThreadSanitizer pass over the same set
 #
 #   scripts/ci.sh [build-dir]
 set -euo pipefail
@@ -23,6 +25,21 @@ echo "== benchmark self-test"
 # Performance itself is measured by `tpcbench/run.py --workload ...`
 # (tpcbench/README.md), not gated in CI.
 python3 tpcbench/run.py --self-test
+
+echo "== answer digests"
+# One short throughput run. Its untimed warm-up checks the answers of all
+# 297 statements (SF 0.1) against tpcbench/digests/seed-19620718.tsv, and
+# its last line is the run's JSON record: the stage fails unless it
+# reports "correct": true and "failed": 0.
+DIGEST_RECORD="$(python3 tpcbench/run.py --workload throughput --seconds 1 |
+  tail -n 1)"
+echo "$DIGEST_RECORD"
+python3 -c '
+import json, sys
+record = json.loads(sys.argv[1])
+sys.exit(0 if record.get("correct") is True and record.get("failed") == 0
+         else "answer digests: the run is not correct or has failures")
+' "$DIGEST_RECORD"
 
 echo "== service overload smoke"
 # Saturating closed loop through the admission-controlled query service:

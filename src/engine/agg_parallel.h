@@ -11,76 +11,10 @@
 
 namespace tpcds {
 
-/// Partitioned-hash building blocks shared by the DISTINCT / set-operation,
-/// join, sort and Top-K paths in the executor. All of them follow the same
-/// determinism rule as the rest of the morsel executor: partition
-/// assignment is a pure function of the input (a value hash, never a
-/// thread id), and per-partition results are recombined in first-seen
-/// input order, so results are byte-identical at any parallelism level.
-
-/// Number of hash partitions for parallel distinct / set-op builds. A
-/// constant (like the executor's join partitions): partition contents must
-/// not depend on the worker count.
-inline constexpr size_t kHashPartitions = 16;
-
-/// Borrowed view of a composite key: a prefix of a materialised row, or a
-/// per-row scratch buffer. Lets the key hash tables probe a candidate
-/// key without materialising it — the key values are copied only when a
-/// new group is inserted (transparent lookup, in the style of the
-/// string_view lookups on EngineTable::StringIndex).
-struct GroupKeyView {
-  const Value* data = nullptr;
-  size_t size = 0;
-
-  static GroupKeyView Of(const std::vector<Value>& key) {
-    return {key.data(), key.size()};
-  }
-  /// The first `n` values of `row` (a RowSet visible prefix).
-  static GroupKeyView Prefix(const std::vector<Value>& row, size_t n) {
-    return {row.data(), std::min(n, row.size())};
-  }
-};
-
-/// FNV-style hash over a key's values. Transparent: a view and its
-/// materialised copy hash identically, so heterogeneous lookup and
-/// hash-based partition assignment agree everywhere.
-struct GroupKeyHash {
-  using is_transparent = void;
-  size_t operator()(const std::vector<Value>& key) const {
-    return Hash(key.data(), key.size());
-  }
-  size_t operator()(const GroupKeyView& key) const {
-    return Hash(key.data, key.size);
-  }
-  static size_t Hash(const Value* values, size_t n);
-};
-
-/// SQL DISTINCT key equality: NULLs compare equal to each
-/// other (unlike predicate evaluation). Transparent, matching GroupKeyHash.
-struct GroupKeyEq {
-  using is_transparent = void;
-  static bool Eq(const Value* a, size_t an, const Value* b, size_t bn);
-
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    return Eq(a.data(), a.size(), b.data(), b.size());
-  }
-  bool operator()(const std::vector<Value>& a, const GroupKeyView& b) const {
-    return Eq(a.data(), a.size(), b.data, b.size);
-  }
-  bool operator()(const GroupKeyView& a, const std::vector<Value>& b) const {
-    return Eq(a.data, a.size, b.data(), b.size());
-  }
-  bool operator()(const GroupKeyView& a, const GroupKeyView& b) const {
-    return Eq(a.data, a.size, b.data, b.size);
-  }
-};
-
-/// Merges per-partition ascending row-index lists into one ascending list
-/// — the survivor order of a partitioned duplicate elimination, equal to
-/// the input order a serial scan would have produced.
-std::vector<uint32_t> MergeAscendingIndexLists(
-    const std::vector<std::vector<uint32_t>>& lists);
+/// The parallel sort's run structure and the Top-K operator's bounded
+/// heap. Both follow the morsel executor's determinism rule: the work
+/// splits by the input alone, never by the worker count, and ties break on
+/// the input row index, so results are byte-identical at any parallelism.
 
 /// Rows per locally-sorted run in the parallel sort. A constant multiple
 /// of the morsel size — like the morsel size itself, independent of the

@@ -1,27 +1,14 @@
 #include "engine/expr_eval.h"
 
 #include <cmath>
-#include <mutex>
-#include <unordered_set>
 
+#include "engine/group_table.h"
 #include "util/string_util.h"
 
 namespace tpcds {
 namespace {
 
 // ---------------------------------------------------------------- helpers
-
-struct ValueHasher {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    if (a.is_null() && b.is_null()) return true;
-    if (a.is_null() || b.is_null()) return false;
-    return Value::Compare(a, b) == 0;
-  }
-};
-using ValueSet = std::unordered_set<Value, ValueHasher, ValueEq>;
 
 /// Simple SQL LIKE matcher: % = any run, _ = any one character.
 bool LikeMatch(std::string_view text, const std::string& pattern,
@@ -157,17 +144,28 @@ class BoundBetween : public BoundExpr {
   std::unique_ptr<BoundExpr> hi_;
 };
 
+/// `probe IN (values)`, the values keyed through KeyCell in the GroupTable
+/// key index. The DATE/string rule (DateKeyed) applies where a probe meets
+/// the set: a string probe also keys as the date it names when the set
+/// holds dates, and a date probe is also looked up among the dates the
+/// set's strings name.
 class BoundInSet : public BoundExpr {
  public:
-  BoundInSet(bool negated, std::unique_ptr<BoundExpr> probe, ValueSet set,
-             bool set_contains_null)
+  BoundInSet(bool negated, std::unique_ptr<BoundExpr> probe,
+             std::vector<Value> values)
       : negated_(negated),
         probe_(std::move(probe)),
-        set_(std::move(set)),
-        set_contains_null_(set_contains_null) {
-    for (const Value& v : set_) {
-      has_dates_ |= v.kind() == Value::Kind::kDate;
-      has_strings_ |= v.kind() == Value::Kind::kString;
+        values_(std::move(values)) {
+    for (const Value& v : values_) {
+      if (v.is_null()) {
+        contains_null_ = true;
+        continue;
+      }
+      KeyCell k = KeyCell::Of(Cell::Of(v));
+      Insert(&set_, k);
+      dates_ |= v.kind() == Value::Kind::kDate;
+      KeyCell named = DateKeyed(k);
+      if (named.cls != k.cls) Insert(&named_dates_, named);
     }
   }
   Value Eval(const std::vector<Value>& row) const override {
@@ -176,41 +174,34 @@ class BoundInSet : public BoundExpr {
     bool in = Contains(v);
     // SQL three-valued IN: a non-match against a set containing NULL is
     // UNKNOWN, not FALSE — which makes NOT IN filter everything out.
-    if (!in && set_contains_null_) return Value::Null();
+    if (!in && contains_null_) return Value::Null();
     return Value::Bool(negated_ ? !in : in);
   }
 
  private:
-  /// Membership by Value::Compare, which equates a DATE with a string
-  /// naming it where the hash does not (see DateKey): a string probe is
-  /// also looked up as its date, and a date probe among the dates the
-  /// set's strings name, mapped once, on the first date probe.
+  static void Insert(GroupTable* set, const KeyCell& k) {
+    bool created = false;
+    set->FindOrAdd(&k, HashKey(&k, 1), 0, /*stable=*/true, &created);
+  }
+  static bool Has(const GroupTable& set, const KeyCell& k) {
+    return set.Find(&k, HashKey(&k, 1)) != GroupTable::kNone;
+  }
   bool Contains(const Value& v) const {
-    if (set_.find(v) != set_.end()) return true;
-    if (v.kind() == Value::Kind::kString && has_dates_) {
-      return set_.find(DateKey(v)) != set_.end();
+    KeyCell k = KeyCell::Of(Cell::Of(v));
+    if (Has(set_, k)) return true;
+    if (v.kind() == Value::Kind::kString) {
+      return dates_ && Has(set_, DateKeyed(k));
     }
-    if (v.kind() == Value::Kind::kDate && has_strings_) {
-      std::call_once(string_dates_once_, [this] {
-        for (const Value& s : set_) {
-          if (s.kind() != Value::Kind::kString) continue;
-          Value d = DateKey(s);
-          if (!d.is_null()) string_dates_.insert(std::move(d));
-        }
-      });
-      return string_dates_.find(v) != string_dates_.end();
-    }
-    return false;
+    return v.kind() == Value::Kind::kDate && Has(named_dates_, k);
   }
 
   bool negated_;
   std::unique_ptr<BoundExpr> probe_;
-  ValueSet set_;
-  bool set_contains_null_;
-  bool has_dates_ = false;
-  bool has_strings_ = false;
-  mutable std::once_flag string_dates_once_;
-  mutable ValueSet string_dates_;
+  std::vector<Value> values_;  // the strings the key views point into
+  GroupTable set_{1};
+  GroupTable named_dates_{1};  // the dates the set's strings name
+  bool contains_null_ = false;
+  bool dates_ = false;
 };
 
 class BoundInExprList : public BoundExpr {
@@ -493,18 +484,12 @@ Result<std::unique_ptr<BoundExpr>> BindExpr(const Expr& expr,
       TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> probe,
                              BindExpr(*expr.children[0], scope, subqueries));
       if (all_literals) {
-        ValueSet set;
-        bool contains_null = false;
+        std::vector<Value> values;
         for (size_t i = 1; i < expr.children.size(); ++i) {
-          if (expr.children[i]->literal.is_null()) {
-            contains_null = true;
-          } else {
-            set.insert(expr.children[i]->literal);
-          }
+          values.push_back(expr.children[i]->literal);
         }
         return std::unique_ptr<BoundExpr>(
-            new BoundInSet(expr.negated, std::move(probe), std::move(set),
-                           contains_null));
+            new BoundInSet(expr.negated, std::move(probe), std::move(values)));
       }
       std::vector<std::unique_ptr<BoundExpr>> exprs;
       exprs.push_back(std::move(probe));
@@ -524,18 +509,8 @@ Result<std::unique_ptr<BoundExpr>> BindExpr(const Expr& expr,
                              BindExpr(*expr.children[0], scope, subqueries));
       TPCDS_ASSIGN_OR_RETURN(std::vector<Value> values,
                              subqueries->EvaluateColumn(*expr.subquery));
-      ValueSet set;
-      bool contains_null = false;
-      for (Value& v : values) {
-        if (v.is_null()) {
-          contains_null = true;
-        } else {
-          set.insert(std::move(v));
-        }
-      }
       return std::unique_ptr<BoundExpr>(
-          new BoundInSet(expr.negated, std::move(probe), std::move(set),
-                         contains_null));
+          new BoundInSet(expr.negated, std::move(probe), std::move(values)));
     }
     case Expr::Tag::kScalarSubquery: {
       if (subqueries == nullptr) {

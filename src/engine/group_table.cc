@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -10,6 +11,8 @@
 namespace tpcds {
 
 namespace {
+
+const std::vector<PlanAggSpec> kNoAggs;
 
 uint64_t Mix(uint64_t x) {
   x ^= x >> 33;
@@ -26,21 +29,9 @@ int CompareDoubles(double a, double b) {
   return 0;
 }
 
-int64_t DoubleBits(double d) { return std::bit_cast<int64_t>(d); }
-
 }  // namespace
 
 // ------------------------------------------------------------------ cells
-
-Cell Cell::Of(const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kNull: return {};
-    case Value::Kind::kDouble:
-      return {Value::Kind::kDouble, DoubleBits(v.AsDouble()), {}};
-    case Value::Kind::kString: return {Value::Kind::kString, 0, v.AsString()};
-    default: return {v.kind(), v.AsInt(), {}};  // int, cents or JDN
-  }
-}
 
 double Cell::AsDouble() const {
   switch (kind) {
@@ -86,47 +77,6 @@ int CompareCells(const Cell& a, const Cell& b) {
   return CompareDoubles(a.AsDouble(), b.AsDouble());
 }
 
-KeyCell KeyCell::Of(const Cell& c) {
-  KeyCell k;
-  k.cell = c;
-  switch (c.kind) {
-    case Value::Kind::kNull:
-      break;
-    case Value::Kind::kInt:
-      k.cls = KeyClass::kIntegral;
-      k.eq = c.word;
-      break;
-    case Value::Kind::kDecimal:
-      if (c.word % Decimal::kScale == 0) {
-        k.cls = KeyClass::kIntegral;
-        k.eq = c.word / Decimal::kScale;
-      } else {
-        k.cls = KeyClass::kDouble;
-        k.eq = DoubleBits(c.AsDouble());
-      }
-      break;
-    case Value::Kind::kDouble: {
-      double d = c.AsDouble();
-      if (d == std::floor(d) && std::abs(d) < 1e15) {
-        k.cls = KeyClass::kIntegral;
-        k.eq = static_cast<int64_t>(d);
-      } else {
-        k.cls = KeyClass::kDouble;
-        k.eq = std::isnan(d) ? DoubleBits(std::nan("")) : DoubleBits(d);
-      }
-      break;
-    }
-    case Value::Kind::kDate:
-      k.cls = KeyClass::kDate;
-      k.eq = c.word;
-      break;
-    case Value::Kind::kString:
-      k.cls = KeyClass::kString;
-      break;
-  }
-  return k;
-}
-
 uint64_t KeyCell::Hash() const {
   if (cls == KeyClass::kString) {
     return Mix(std::hash<std::string_view>()(cell.str));
@@ -139,6 +89,23 @@ uint64_t HashKey(const KeyCell* key, size_t n) {
   uint64_t h = 0x2545F4914F6CDD1DULL;
   for (size_t i = 0; i < n; ++i) h = Mix(h ^ key[i].Hash());
   return h;
+}
+
+KeyCell DateKeyed(const KeyCell& k) {
+  if (k.cls != KeyClass::kString) return k;
+  // Date::Parse reads "%d-%d-%d": a string with no integer ahead of a
+  // '-' names no date, and is passed over without building its error.
+  std::string_view s = k.cell.str;
+  size_t i = s.find_first_not_of(" \t\n\v\f\r");
+  if (i == std::string_view::npos ||
+      !(std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '+' ||
+        s[i] == '-') ||
+      s.find('-', i + 1) == std::string_view::npos) {
+    return k;
+  }
+  Result<Date> d = Date::Parse(std::string(s));
+  if (!d.ok()) return k;
+  return KeyCell::Of(Cell::Word(Value::Kind::kDate, d.ValueOrDie().jdn()));
 }
 
 std::string_view StringArena::Copy(std::string_view s) {
@@ -189,6 +156,9 @@ GroupTable::Fn GroupTable::FunctionOf(const PlanAggSpec& spec) {
   return Fn::kOther;
 }
 
+GroupTable::GroupTable(size_t nkeys)
+    : GroupTable(&kNoAggs, nkeys, false) {}
+
 GroupTable::GroupTable(const std::vector<PlanAggSpec>* aggs, size_t nkeys,
                        bool record)
     : specs_(aggs), nkeys_(nkeys), record_(record) {
@@ -213,16 +183,23 @@ GroupTable::GroupTable(const std::vector<PlanAggSpec>* aggs, size_t nkeys,
   }
 }
 
+bool GroupTable::Holds(uint32_t g, const KeyCell* key, uint64_t h) const {
+  if (hashes_[g] != h) return false;
+  const KeyCell* k = &keys_[g * nkeys_];
+  for (size_t i = 0; i < nkeys_; ++i) {
+    if (!(k[i] == key[i])) return false;
+  }
+  return true;
+}
+
+uint32_t GroupTable::Find(const KeyCell* key, uint64_t h) const {
+  return index_.Find(h, [&](uint32_t g) { return Holds(g, key, h); });
+}
+
 uint32_t GroupTable::FindOrAdd(const KeyCell* key, uint64_t h, uint64_t row,
                                bool stable, bool* created) {
-  uint32_t* slot = index_.Locate(h, [&](uint32_t g) {
-    if (hashes_[g] != h) return false;
-    const KeyCell* k = &keys_[g * nkeys_];
-    for (size_t i = 0; i < nkeys_; ++i) {
-      if (!(k[i] == key[i])) return false;
-    }
-    return true;
-  });
+  uint32_t* slot =
+      index_.Locate(h, [&](uint32_t g) { return Holds(g, key, h); });
   if (*slot != kNone) {
     *created = false;
     return *slot;
@@ -370,7 +347,7 @@ void GroupTable::AddDistinct(Agg& agg, uint32_t g, const KeyCell& key,
     agg.entry_hashes.push_back(h);
     agg.entry_index.Added(agg.entry_hashes);
     ++agg.count[g];
-    if (key.cls == KeyClass::kDate) agg.saw[g] |= kSawDate;
+    if (key.cell.kind == Value::Kind::kDate) agg.saw[g] |= kSawDate;
     if (key.cls == KeyClass::kString) agg.saw[g] |= kSawString;
     entry = &agg.entries.back();
   }
@@ -499,23 +476,21 @@ GroupTable GroupTable::Combine(const std::vector<GroupTable*>& tables,
 
 void GroupTable::FoldDateKeyedGroups() {
   if (nkeys_ == 0) return;
-  std::vector<uint8_t> seen(nkeys_, 0);  // bit 0: a date, bit 1: a string
+  std::vector<KeyKinds> kinds(nkeys_);
   for (size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i].cls == KeyClass::kDate) seen[i % nkeys_] |= 1;
-    if (keys_[i].cls == KeyClass::kString) seen[i % nkeys_] |= 2;
+    kinds[i % nkeys_].Add(keys_[i].cell);
   }
-  if (std::find(seen.begin(), seen.end(), 3) == seen.end()) return;
-  static const std::vector<PlanAggSpec> kNoAggs;
-  GroupTable first(&kNoAggs, nkeys_, false);  // groups by date-keyed key
+  if (std::none_of(kinds.begin(), kinds.end(),
+                   [](const KeyKinds& k) { return k.mixed(); })) {
+    return;
+  }
+  GroupTable first(nkeys_);  // groups by date-keyed key
   GroupTable folded(specs_, nkeys_, false);
   std::vector<uint32_t> map(size());
   std::vector<KeyCell> keyed(nkeys_);
   for (uint32_t g = 0; g < size(); ++g) {
     for (size_t k = 0; k < nkeys_; ++k) {
-      keyed[k] = key(g)[k];
-      if (seen[k] != 3 || keyed[k].cls != KeyClass::kString) continue;
-      Value d = DateKey(Value::Str(std::string(keyed[k].cell.str)));
-      if (!d.is_null()) keyed[k] = KeyCell::Of(Cell::Of(d));
+      keyed[k] = kinds[k].mixed() ? DateKeyed(key(g)[k]) : key(g)[k];
     }
     bool created = false;
     map[g] = first.FindOrAdd(keyed.data(), HashKey(keyed.data(), nkeys_),
@@ -545,12 +520,8 @@ std::vector<Cell> GroupTable::DistinctValues(const Agg& agg,
   std::vector<Cell> values;
   std::vector<KeyCell> seen;
   for (const DistinctEntry* e : mine) {
-    KeyCell k = e->key;
-    if (rekey && k.cls == KeyClass::kString) {
-      Value d = DateKey(Value::Str(std::string(k.cell.str)));
-      if (!d.is_null()) k = KeyCell::Of(Cell::Of(d));
-      if (std::find(seen.begin(), seen.end(), k) != seen.end()) continue;
-    } else if (rekey && std::find(seen.begin(), seen.end(), k) != seen.end()) {
+    KeyCell k = rekey ? DateKeyed(e->key) : e->key;
+    if (rekey && std::find(seen.begin(), seen.end(), k) != seen.end()) {
       continue;
     }
     seen.push_back(k);

@@ -1,6 +1,8 @@
 #ifndef TPCDS_ENGINE_GROUP_TABLE_H_
 #define TPCDS_ENGINE_GROUP_TABLE_H_
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,18 +34,22 @@ struct Cell {
 /// Value::Compare over cells; neither may be NULL.
 int CompareCells(const Cell& a, const Cell& b);
 
-/// What GROUP BY and COUNT(DISTINCT) equate a cell by, mirroring
-/// Value::Hash and GroupKeyEq: integral numerics by their integer value
-/// (so 5, 5.00 and 5.0 are one key), other numerics by their double, dates
-/// by their JDN, strings by their bytes, NULL as a class of its own.
-enum class KeyClass : uint8_t { kNull, kIntegral, kDouble, kDate, kString };
+/// What every hashed lookup equates a cell by (docs/EXECUTOR.md, "Typed
+/// keys" and "Join keys"): hash joins, star semi-joins, IN sets, DISTINCT,
+/// set operations, window partitions, GROUP BY and COUNT(DISTINCT).
+/// Integral numerics key by their integer value, so 5, 5.00 and 5.0 are
+/// one key, and a date by its JDN, so it equals the integer of its day
+/// number, as Value::Compare has it; other numerics key by their double,
+/// strings by their bytes, NULL as a class of its own. A string naming a
+/// date keys as that date only where dates meet strings (DateKeyed).
+enum class KeyClass : uint8_t { kNull, kIntegral, kDouble, kString };
 
 /// A cell with its key class and equality word. The cell keeps the kind
 /// and word it was read with, which a group shows in its output.
 struct KeyCell {
   Cell cell;
   KeyClass cls = KeyClass::kNull;
-  int64_t eq = 0;  // integral value, double bits or JDN
+  int64_t eq = 0;  // integral value (a date's JDN) or double bits
 
   static KeyCell Of(const Cell& c);
   bool operator==(const KeyCell& o) const {
@@ -55,6 +61,75 @@ struct KeyCell {
 
 /// Hash of a composite key.
 uint64_t HashKey(const KeyCell* key, size_t n);
+
+// Cell::Of and KeyCell::Of are inline: every hashed lookup reads each key
+// of each row through them.
+inline Cell Cell::Of(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kNull: return {};
+    case Value::Kind::kDouble:
+      return {Value::Kind::kDouble, std::bit_cast<int64_t>(v.AsDouble()), {}};
+    case Value::Kind::kString: return {Value::Kind::kString, 0, v.AsString()};
+    default: return {v.kind(), v.AsInt(), {}};  // int, cents or JDN
+  }
+}
+
+inline KeyCell KeyCell::Of(const Cell& c) {
+  KeyCell k;
+  k.cell = c;
+  switch (c.kind) {
+    case Value::Kind::kNull:
+      break;
+    case Value::Kind::kInt:
+    case Value::Kind::kDate:  // by its JDN
+      k.cls = KeyClass::kIntegral;
+      k.eq = c.word;
+      break;
+    case Value::Kind::kDecimal:
+      if (c.word % Decimal::kScale == 0) {
+        k.cls = KeyClass::kIntegral;
+        k.eq = c.word / Decimal::kScale;
+      } else {
+        k.cls = KeyClass::kDouble;
+        k.eq = std::bit_cast<int64_t>(c.AsDouble());
+      }
+      break;
+    case Value::Kind::kDouble: {
+      double d = c.AsDouble();
+      if (d == std::floor(d) && std::abs(d) < 1e15) {
+        k.cls = KeyClass::kIntegral;
+        k.eq = static_cast<int64_t>(d);
+      } else {
+        k.cls = KeyClass::kDouble;
+        k.eq = std::bit_cast<int64_t>(std::isnan(d) ? std::nan("") : d);
+      }
+      break;
+    }
+    case Value::Kind::kString:
+      k.cls = KeyClass::kString;
+      break;
+  }
+  return k;
+}
+
+/// The DATE/string rule of every hashed lookup. Value::Compare equates a
+/// DATE with a string naming it, but a key has one class, so where a key
+/// position meets dates and strings each string naming a date keys as
+/// that date: this returns the date's key for such a string and `k`
+/// itself for any other cell.
+KeyCell DateKeyed(const KeyCell& k);
+
+/// What one key position holds, for the DATE/string rule.
+struct KeyKinds {
+  bool dates = false;
+  bool strings = false;
+
+  void Add(const Cell& c) {
+    dates |= c.kind == Value::Kind::kDate;
+    strings |= c.kind == Value::Kind::kString;
+  }
+  bool mixed() const { return dates && strings; }
+};
 
 /// Owns copies of strings that no longer live anywhere else (expression
 /// results); the views it hands out stay valid while it, or an arena
@@ -70,8 +145,8 @@ class StringArena {
   size_t capacity_ = 0;
 };
 
-/// The aggregate's group table (docs/EXECUTOR.md, "Partitioned
-/// aggregation"): composite keys of KeyCells in a flat open-addressing
+/// The aggregate's group table (docs/EXECUTOR.md, "Group tables, parallel
+/// sort, Top-K"): composite keys of KeyCells in a flat open-addressing
 /// index, groups numbered in creation order, and each aggregate's state in
 /// arrays indexed by group.
 ///
@@ -90,6 +165,10 @@ class GroupTable {
   static constexpr uint32_t kNone = UINT32_MAX;
 
   GroupTable(const std::vector<PlanAggSpec>* aggs, size_t nkeys, bool record);
+  /// A key index: keys only, no aggregate. It serves DISTINCT, set
+  /// operations, window partitions, IN sets and the join build sides a
+  /// KeyTable does not take.
+  explicit GroupTable(size_t nkeys);
 
   size_t size() const { return hashes_.size(); }
   size_t nkeys() const { return nkeys_; }
@@ -104,6 +183,9 @@ class GroupTable {
   /// into the arena unless `stable` (they outlive the table).
   uint32_t FindOrAdd(const KeyCell* key, uint64_t h, uint64_t row,
                      bool stable, bool* created);
+  /// The group of `key` (hash `h`), or kNone. Safe from any number of
+  /// threads while nothing adds to the table.
+  uint32_t Find(const KeyCell* key, uint64_t h) const;
 
   /// Opens group g's partial for morsel m, first folding (or recording)
   /// the partial it holds for an earlier morsel. Call before adding the
@@ -179,9 +261,12 @@ class GroupTable {
     template <typename Eq>
     uint32_t* Locate(uint64_t h, const Eq& eq) {
       if (slots_.empty()) Rehash(16, {});
-      size_t i = static_cast<size_t>(h) & mask_;
-      while (slots_[i] != kNone && !eq(slots_[i])) i = (i + 1) & mask_;
-      return &slots_[i];
+      return &slots_[Probe(h, eq)];
+    }
+    /// The id for which eq(id) is true among those hashed `h`, or kNone.
+    template <typename Eq>
+    uint32_t Find(uint64_t h, const Eq& eq) const {
+      return slots_.empty() ? kNone : slots_[Probe(h, eq)];
     }
     /// Call after storing a new id in a slot Locate returned.
     void Added(const std::vector<uint64_t>& hashes) {
@@ -189,6 +274,12 @@ class GroupTable {
     }
 
    private:
+    template <typename Eq>
+    size_t Probe(uint64_t h, const Eq& eq) const {
+      size_t i = static_cast<size_t>(h) & mask_;
+      while (slots_[i] != kNone && !eq(slots_[i])) i = (i + 1) & mask_;
+      return i;
+    }
     void Rehash(size_t capacity, const std::vector<uint64_t>& hashes);
 
     std::vector<uint32_t> slots_;
@@ -223,6 +314,8 @@ class GroupTable {
   static constexpr uint8_t kSawDate = 4;
   static constexpr uint8_t kSawString = 8;
 
+  /// True when group g holds `key`, hashed `h`.
+  bool Holds(uint32_t g, const KeyCell* key, uint64_t h) const;
   void Close(uint32_t g);
   void AddDistinct(Agg& agg, uint32_t g, const KeyCell& key, uint64_t row,
                    bool stable, bool by_row);

@@ -45,10 +45,12 @@ struct PlannerOptions {
 
   /// Vectorized columnar fast path: pushed scan filters run as typed
   /// kernels over the raw storage vectors with selection vectors, zone
-  /// maps prune whole morsels, and hash/semi joins build Bloom filters
-  /// that reject probe rows early (pushed into probe-side scans when the
-  /// build side is selective). Off = the row-at-a-time reference path.
-  /// Results are byte-identical either way, at any parallelism.
+  /// maps prune whole morsels, hash/semi joins push their build keys into
+  /// probe-side scans as a range and a Bloom filter when the build side
+  /// is selective, and join pipelines carry row indices instead of boxed
+  /// rows. Off = the row-at-a-time reference path, whose joins key the
+  /// same tables. Results are byte-identical either way, at any
+  /// parallelism.
   bool vectorized_execution = true;
 
   /// Fuse `ORDER BY ... LIMIT n` into a Top-K operator: bounded
@@ -66,7 +68,7 @@ struct ExecStats {
   int64_t rows_joined = 0;
   int64_t star_filtered_rows = 0;  // fact rows removed by semi-join filters
   int64_t morsels_pruned = 0;      // scan morsels skipped via zone maps
-  int64_t bloom_rejects = 0;       // join/scan rows rejected by Bloom filters
+  int64_t bloom_rejects = 0;       // scan rows rejected by pushed join keys
   int64_t topk_seen = 0;           // rows offered to Top-K bounded heaps
   int64_t topk_kept = 0;           // rows those heaps retained
   int64_t bytes_touched = 0;       // storage payload bytes read by scans

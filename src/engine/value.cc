@@ -1,7 +1,6 @@
 #include "engine/value.h"
 
-#include <cmath>
-#include <functional>
+#include <cstdio>
 
 namespace tpcds {
 
@@ -77,43 +76,9 @@ int Value::Compare(const Value& a, const Value& b) {
   return CompareDoubles(a.AsDouble(), b.AsDouble());
 }
 
-Value DateKey(Value v) {
-  if (v.kind() != Value::Kind::kString) return v;
-  Result<Date> d = Date::Parse(v.AsString());
-  return d.ok() ? Value::Dt(*d) : Value::Null();
-}
-
 bool Value::SqlEquals(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return false;
   return Compare(a, b) == 0;
-}
-
-size_t Value::Hash() const {
-  switch (kind_) {
-    case Kind::kNull:
-      return 0x9e3779b9;
-    case Kind::kString:
-      return std::hash<std::string>()(str_);
-    case Kind::kDouble: {
-      // Hash integral doubles like the equal-valued int.
-      double d = dbl_;
-      if (d == std::floor(d) && std::abs(d) < 1e15) {
-        return std::hash<int64_t>()(static_cast<int64_t>(d) * 10007);
-      }
-      return std::hash<double>()(d);
-    }
-    case Kind::kDecimal: {
-      // cents -> units when integral so Dec(5.00) matches Int(5).
-      if (num_ % Decimal::kScale == 0) {
-        return std::hash<int64_t>()(num_ / Decimal::kScale * 10007);
-      }
-      return std::hash<double>()(AsDouble());
-    }
-    case Kind::kInt:
-    case Kind::kDate:
-      return std::hash<int64_t>()(num_ * 10007);
-  }
-  return 0;
 }
 
 std::string Value::ToDisplayString() const {

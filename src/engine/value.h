@@ -14,6 +14,9 @@ namespace tpcds {
 /// combine with the usual SQL coercions; dates compare with date-literal
 /// strings by parsing. NULL is a distinct kind with SQL semantics
 /// (comparisons involving NULL are unknown; aggregates skip NULLs).
+/// Hashed lookups (joins, IN sets, DISTINCT, set operations, grouping)
+/// key a value through KeyCell (engine/group_table.h), which equates what
+/// Compare does, a DATE and the string naming it where dates meet strings.
 class Value {
  public:
   enum class Kind { kNull, kInt, kDecimal, kDouble, kString, kDate };
@@ -87,11 +90,6 @@ class Value {
   /// SQL equality (after coercion); NULL never equals anything.
   static bool SqlEquals(const Value& a, const Value& b);
 
-  /// Hash consistent with SqlEquals for group-by/join keys (numerics of
-  /// equal value hash equally), except that a DATE and a string naming it
-  /// hash apart: see DateKey.
-  size_t Hash() const;
-
   /// Rendering for result display and CSV output; NULL renders as "NULL".
   std::string ToDisplayString() const;
 
@@ -108,14 +106,6 @@ class Value {
   double dbl_ = 0.0;
   std::string str_;
 };
-
-/// Compare equates a DATE with a string that parses as that date, but
-/// Hash hashes the date's day number and the string's bytes. So a hashed
-/// lookup where one side holds dates and the other strings maps the
-/// string side through DateKey first, as StorageValueForEquality does for
-/// raw storage: a string naming a date becomes that date, any other
-/// string becomes NULL, which equals nothing. Other kinds pass through.
-Value DateKey(Value v);
 
 }  // namespace tpcds
 

@@ -5,7 +5,8 @@
 // at all under an aggregate, which reads the indices itself, even through
 // a filter; the reference path boxes every row at every level. An
 // aggregate builds each of its groups once, however many morsels the
-// group appears in.
+// group appears in. A join on two keys keys its build side in the key
+// index without an allocation per build row.
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,50 @@ TEST(AllocationCountTest, AggregateBuildsEachGroupOnce) {
   EXPECT_LE(counts[1] - counts[0], 100)
       << counts[0] << " allocations at 6 morsels, " << counts[1]
       << " at 12";
+}
+
+TEST(AllocationCountTest, TwoKeyJoinKeysItsBuildRowsWithoutAllocating) {
+  // An (int, string) join under an aggregate keys its build side in the
+  // key index, as views of the boxed build rows: doubling the build side
+  // adds at most its boxed rows, one allocation each, and no key vector
+  // or hash node per row. Only build keys 0-499 match the probe side.
+  constexpr int kBuildRows = 3000;
+  const std::string sql =
+      "SELECT COUNT(*), SUM(b.v) FROM p JOIN b ON p.k = b.k AND p.s = b.s";
+  int64_t counts[2] = {0, 0};
+  int64_t matched[2] = {0, 0};
+  for (int size : {0, 1}) {
+    Database db;
+    ASSERT_TRUE(db.CreateTable("p", {{"k", ColumnType::kInteger},
+                                     {"s", ColumnType::kVarchar}})
+                    .ok());
+    ASSERT_TRUE(db.CreateTable("b", {{"k", ColumnType::kInteger},
+                                     {"s", ColumnType::kVarchar},
+                                     {"v", ColumnType::kInteger}})
+                    .ok());
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(db.FindTable("p")
+                      ->AppendRowStrings({std::to_string(i % 500),
+                                          "s" + std::to_string(i % 3)})
+                      .ok());
+    }
+    for (int r = 0; r < kBuildRows * (size + 1); ++r) {
+      ASSERT_TRUE(db.FindTable("b")
+                      ->AppendRowStrings({std::to_string(r),
+                                          "s" + std::to_string(r % 3),
+                                          std::to_string(r % 10)})
+                      .ok());
+    }
+    PlannerOptions options = db.default_options();
+    options.parallelism = 1;
+    AllocationsOf(&db, sql, options, &matched[size]);
+    counts[size] = AllocationsOf(&db, sql, options, &matched[size]);
+  }
+  ASSERT_GT(matched[0], 0);
+  ASSERT_EQ(matched[1], matched[0]);
+  EXPECT_LE(counts[1] - counts[0], kBuildRows + 100)
+      << counts[0] << " allocations at " << kBuildRows << " build rows, "
+      << counts[1] << " at " << 2 * kBuildRows;
 }
 
 }  // namespace

@@ -326,19 +326,6 @@ TEST(BloomFilterTest, NoFalseNegativesAndMostlyRejectsOthers) {
   EXPECT_LT(false_positives, 2000u);
 }
 
-TEST(BloomFilterTest, HashMatchesValueHash) {
-  // HashStorageValue must agree with Value::Hash so pushdown hashes of raw
-  // storage match the join's Value-level hashes.
-  EXPECT_EQ(HashStorageValue(ColumnType::kInteger, 42),
-            Value::Int(42).Hash());
-  EXPECT_EQ(HashStorageValue(ColumnType::kIdentifier, -7),
-            Value::Int(-7).Hash());
-  EXPECT_EQ(HashStorageValue(ColumnType::kDecimal, 12345),
-            Value::Dec(Decimal::FromCents(12345)).Hash());
-  EXPECT_EQ(HashStorageValue(ColumnType::kDate, 2450815),
-            Value::Dt(Date(2450815)).Hash());
-}
-
 // ---- raw-storage key coercion ----------------------------------------------
 
 TEST(StorageValueForEqualityTest, IntAndDecimalAndDateKeys) {

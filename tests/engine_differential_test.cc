@@ -317,12 +317,13 @@ TEST_F(VectorizedDifferentialTest, SampledTemplatesAgreeWithRowSetPath) {
   }
 }
 
-/// Typed join keys against the reference path: on the vectorized path a
-/// single-key hash join whose build keys are all ints, decimals or dates
-/// probes a flat int64 table, while the reference (vectorized off, serial)
-/// keeps the boxed table. Each query has no ORDER BY, so the CSV pins the
-/// emission order too: probe rows in order, each with its matches in
-/// ascending build-row order.
+/// Join keys against the reference path (vectorized off, serial). Both
+/// key a build side through KeyCell: a single key whose values share one
+/// non-string class in a flat int64 KeyTable, any other build side in the
+/// GroupTable key index; the vectorized path probes from the index form,
+/// a KeyTable on integral words straight from storage. Each query has no
+/// ORDER BY, so the CSV pins the emission order too: probe rows in order,
+/// each with its matches in ascending build-row order.
 class TypedJoinTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -450,16 +451,15 @@ TEST_F(TypedJoinTest, DateKeys) {
   EXPECT_GT(ExpectMatchesReference(
                 "SELECT f.id, d.v FROM f JOIN d ON f.dt = d.dt"),
             0u);
-  // String probe keys against typed date build keys map onto day numbers
-  // and must answer as the boxed table does.
+  // String probe keys against date build keys key as the dates they name.
   ExpectMatchesReference("SELECT d.v, f.id FROM d JOIN f ON d.ds = f.dt");
 }
 
 TEST_F(TypedJoinTest, DateEqualsTheStringNamingIt) {
   // The filter compares the date with the string by parsing it; every
   // hashed form of the same equality must find the row too, though a
-  // date and a string hash apart. Each statement's expected row count
-  // follows it.
+  // date and a string key in different classes (DateKeyed). Each
+  // statement's expected row count follows it.
   const std::vector<std::pair<std::string, size_t>> queries = {
       {"SELECT COUNT(*) FROM a WHERE dt = '2000-01-05'", 1},
       {"SELECT a.dt, b.ds FROM a JOIN b ON a.dt = b.ds", 1},
@@ -505,11 +505,11 @@ TEST_F(TypedJoinTest, DateEqualsTheStringNamingIt) {
   }
 }
 
-TEST_F(TypedJoinTest, StringAndMixedKindKeysKeepTheBoxedTable) {
+TEST_F(TypedJoinTest, StringAndMixedKindKeysUseTheKeyIndex) {
   EXPECT_GT(ExpectMatchesReference(
                 "SELECT f.id, d.v FROM f JOIN d ON f.s = d.s"),
             0u);
-  // Build keys of two kinds (decimal, else int) stay boxed too.
+  // Build keys of two classes (decimals with cents, else ints) too.
   EXPECT_GT(ExpectMatchesReference(
                 "SELECT f.id, d.v FROM f JOIN d "
                 "ON f.k = CASE WHEN d.v < 100 THEN d.kd ELSE d.k END"),
@@ -735,8 +735,7 @@ TEST_F(IndexFormTest, EmptyBuildSide) {
 }
 
 TEST_F(IndexFormTest, TwoColumnAndStringKeyLevels) {
-  // The boxed join table serves both levels; f.ks = 's10' and 's11'
-  // miss ds.
+  // The key index serves both levels; f.ks = 's10' and 's11' miss ds.
   EXPECT_GT(ExpectMatchesReference(
                 "SELECT f.id, dc.cv, ds.sv, d3.c FROM f "
                 "JOIN dc ON f.kc1 = dc.c1 AND f.kc2 = dc.c2 "

@@ -1,9 +1,10 @@
 // Unit tests for the engine's Value semantics: cross-kind comparison
-// coercions, hash consistency with equality, truthiness and display, and
-// the DateKey mapping of hashed date/string equality.
+// coercions, the KeyCell keys hashed lookups equate values by, truthiness
+// and display, and DateKeyed, the DATE/string rule of hashed lookups.
 
 #include <gtest/gtest.h>
 
+#include "engine/group_table.h"
 #include "engine/value.h"
 
 namespace tpcds {
@@ -49,13 +50,35 @@ TEST(ValueTest, NullOrderingAndEquality) {
   EXPECT_TRUE(Value::SqlEquals(Value::Int(3), Value::Int(3)));
 }
 
+/// The key every hashed lookup gives `v`.
+KeyCell KeyOf(const Value& v) { return KeyCell::Of(Cell::Of(v)); }
+
 TEST(ValueTest, HashConsistentWithEquality) {
-  // Values that SqlEquals must hash equal (group-by / join correctness).
-  EXPECT_EQ(Value::Int(5).Hash(),
-            Value::Dec(Decimal::FromCents(500)).Hash());
-  EXPECT_EQ(Value::Int(5).Hash(), Value::Dbl(5.0).Hash());
-  EXPECT_EQ(Value::Str("abc").Hash(), Value::Str("abc").Hash());
-  EXPECT_NE(Value::Int(5).Hash(), Value::Int(6).Hash());
+  // Values that SqlEquals equates must key equal and hash equal (join,
+  // DISTINCT and group-by correctness): 5 = 5.00 = 5.0, equal strings, and
+  // a DATE with the integer of its day number.
+  const Value five[] = {Value::Int(5), Value::Dec(Decimal::FromCents(500)),
+                        Value::Dbl(5.0)};
+  for (const Value& a : five) {
+    for (const Value& b : five) {
+      ASSERT_TRUE(Value::SqlEquals(a, b));
+      EXPECT_TRUE(KeyOf(a) == KeyOf(b));
+      EXPECT_EQ(KeyOf(a).Hash(), KeyOf(b).Hash());
+    }
+  }
+  EXPECT_TRUE(KeyOf(Value::Str("abc")) == KeyOf(Value::Str("abc")));
+  EXPECT_EQ(KeyOf(Value::Str("abc")).Hash(), KeyOf(Value::Str("abc")).Hash());
+  const Value date = Value::Dt(Date::FromYmd(2000, 1, 1));
+  const Value jdn = Value::Int(date.AsDate().jdn());
+  ASSERT_TRUE(Value::SqlEquals(date, jdn));
+  EXPECT_TRUE(KeyOf(date) == KeyOf(jdn));
+  EXPECT_EQ(KeyOf(date).Hash(), KeyOf(jdn).Hash());
+  EXPECT_FALSE(KeyOf(Value::Int(5)) == KeyOf(Value::Int(6)));
+  EXPECT_NE(KeyOf(Value::Int(5)).Hash(), KeyOf(Value::Int(6)).Hash());
+  EXPECT_FALSE(KeyOf(Value::Dec(Decimal::FromCents(550))) ==
+               KeyOf(Value::Int(5)));
+  EXPECT_TRUE(KeyOf(Value::Dec(Decimal::FromCents(550))) ==
+              KeyOf(Value::Dbl(5.5)));
 }
 
 TEST(ValueTest, TruthinessForFilters) {
@@ -87,37 +110,47 @@ TEST(ValueTest, StringOrdering) {
   EXPECT_GT(Value::Compare(Value::Str("b"), Value::Str("ab")), 0);
 }
 
-// ---- DateKey -------------------------------------------------------------
+// ---- DateKeyed -----------------------------------------------------------
 //
-// Compare equates a DATE with a string naming it, Hash does not; hashed
-// joins and IN sets map the string side through DateKey.
+// Compare equates a DATE with a string naming it, but a key has one class;
+// where a key position meets dates and strings, hashed lookups key each
+// string through DateKeyed.
 
 TEST(DateKeyTest, StringNamingADateBecomesThatDate) {
   const Value date = Value::Dt(Date::FromYmd(2000, 1, 5));
-  const Value key = DateKey(Value::Str("2000-01-05"));
-  ASSERT_EQ(key.kind(), Value::Kind::kDate);
-  EXPECT_EQ(key.AsDate().ToString(), "2000-01-05");
-  EXPECT_TRUE(Value::SqlEquals(key, date));
-  EXPECT_EQ(key.Hash(), date.Hash());
+  const Value text = Value::Str("2000-01-05");
+  const KeyCell key = DateKeyed(KeyOf(text));
+  ASSERT_EQ(key.cell.kind, Value::Kind::kDate);
+  EXPECT_EQ(key.cell.ToValue().AsDate().ToString(), "2000-01-05");
+  EXPECT_TRUE(Value::SqlEquals(text, date));
+  EXPECT_TRUE(key == KeyOf(date));
+  EXPECT_EQ(key.Hash(), KeyOf(date).Hash());
+  EXPECT_TRUE(DateKeyed(KeyOf(Value::Str(" 2000-1-5"))) == KeyOf(date));
 }
 
-TEST(DateKeyTest, StringNamingNoDateEqualsNothing) {
-  for (const char* text : {"", "x", "2000-01", "2000/01/05", "20000105"}) {
-    const Value key = DateKey(Value::Str(text));
-    EXPECT_TRUE(key.is_null()) << "'" << text << "'";
-    EXPECT_FALSE(Value::SqlEquals(key, key)) << "'" << text << "'";
+TEST(DateKeyTest, StringNamingNoDateKeepsItsKey) {
+  for (const char* text :
+       {"", "x", "2000-01", "2000/01/05", "20000105", "2000-02-30"}) {
+    const Value value = Value::Str(text);
+    const KeyCell key = KeyOf(value);
+    const KeyCell keyed = DateKeyed(key);
+    EXPECT_EQ(keyed.cls, KeyClass::kString) << "'" << text << "'";
+    EXPECT_TRUE(keyed == key) << "'" << text << "'";
+    EXPECT_EQ(keyed.cell.str, text);
   }
 }
 
 TEST(DateKeyTest, OtherKindsPassThrough) {
   const Value date = Value::Dt(Date::FromYmd(1999, 2, 21));
-  EXPECT_EQ(DateKey(date).kind(), Value::Kind::kDate);
-  EXPECT_EQ(DateKey(date).AsDate().ToString(), "1999-02-21");
-  EXPECT_EQ(DateKey(Value::Int(20000105)).kind(), Value::Kind::kInt);
-  EXPECT_EQ(DateKey(Value::Int(20000105)).AsInt(), 20000105);
-  EXPECT_EQ(DateKey(Value::Dec(Decimal::FromCents(500))).AsDecimal().cents(),
+  EXPECT_EQ(DateKeyed(KeyOf(date)).cell.kind, Value::Kind::kDate);
+  EXPECT_EQ(DateKeyed(KeyOf(date)).cell.ToValue().AsDate().ToString(),
+            "1999-02-21");
+  EXPECT_EQ(DateKeyed(KeyOf(Value::Int(20000105))).cell.kind,
+            Value::Kind::kInt);
+  EXPECT_EQ(DateKeyed(KeyOf(Value::Int(20000105))).eq, 20000105);
+  EXPECT_EQ(DateKeyed(KeyOf(Value::Dec(Decimal::FromCents(500)))).cell.word,
             500);
-  EXPECT_TRUE(DateKey(Value::Null()).is_null());
+  EXPECT_EQ(DateKeyed(KeyOf(Value::Null())).cls, KeyClass::kNull);
 }
 
 }  // namespace

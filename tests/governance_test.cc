@@ -70,6 +70,27 @@ TEST_F(GovernanceTest, MemoryBudgetTripsMidHashBuild) {
   EXPECT_NE(r.status().message().find("memory budget"), std::string::npos);
 }
 
+TEST_F(GovernanceTest, MemoryBudgetTripsMidTwoKeyHashBuild) {
+  // Two keys (an int and a string) key the build side in the key index,
+  // which charges its bytes before it is built, as a KeyTable does.
+  Database db;
+  BuildWideTable(&db, "fact", 20000);
+  BuildWideTable(&db, "dim", 20000);
+  for (int parallelism : {1, 4}) {
+    PlannerOptions options;
+    options.parallelism = parallelism;
+    options.memory_budget_bytes = 4096;  // far below the build side's keys
+    Result<QueryResult> r = db.Query(
+        "SELECT COUNT(*) FROM fact, dim "
+        "WHERE fact.k = dim.k AND fact.txt = dim.txt",
+        options);
+    ASSERT_FALSE(r.ok()) << "parallelism " << parallelism;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(r.status().message().find("memory budget"), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 TEST_F(GovernanceTest, RowBudgetTripsWithinOneMorselAtAnyParallelism) {
   Database db;
   BuildWideTable(&db, "t", 50000);
